@@ -322,8 +322,8 @@ class SolverConfig:
     storage: str = "full"
 
     #: process multi-RHS solves as one (N, k) panel: the hybrid reduced
-    #: solve runs a lockstep block GMRES (one BLAS-3 matvec per
-    #: iteration instead of k GEMVs).  ``False`` reproduces the original
+    #: solve runs a lockstep GMRES (one BLAS-3 matvec per iteration
+    #: instead of k GEMVs).  ``False`` reproduces the original
     #: column-by-column path.
     batch_rhs: bool = True
 

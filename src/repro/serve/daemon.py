@@ -60,6 +60,13 @@ from repro.serve.service import SolverService
 
 __all__ = ["ServeDaemon", "run_daemon", "error_payload"]
 
+#: longest request line the daemon reads.  asyncio's default (64 KiB)
+#: drops the solve request of any model above ~3,100 points, and the
+#: registry does not bound model size.  ``json.dumps`` spends at most 26
+#: bytes on a float64 and its separator, so 1 GiB carries a right-hand
+#: side of ~40M points, past any model one host can factorize.
+MAX_LINE_BYTES = 1 << 30
+
 
 def error_payload(exc: BaseException) -> dict:
     """Map an exception to the wire-format failure object.
@@ -121,7 +128,7 @@ class ServeDaemon:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
 

@@ -10,7 +10,8 @@
   - ``"hybrid"``: partial factorization up to the skeletonization
     frontier + matrix-free GMRES on the reduced system (Algorithm II.6).
 
-* :mod:`repro.solvers.gmres` — the Krylov solver (MGS + optional CGS2).
+* :mod:`repro.solvers.gmres` — the Krylov solver (one lockstep core,
+  batched CGS2).
 """
 
 from repro.solvers.factorization import HierarchicalFactorization, factorize

@@ -1117,8 +1117,8 @@ class HierarchicalFactorization:
             self.reduced_histories.append(res.residuals)
             return res.x
         if self.config.batch_rhs:
-            # one block-Krylov lockstep iteration per matvec: every pair
-            # block sees the whole (size, k) panel at once (BLAS-3).
+            # one lockstep GMRES iteration per matvec: every pair block
+            # sees the whole (size, k) panel at once (BLAS-3).
             results = gmres_batched(self.reduced_matvec, t, cfg)
             for res in results:
                 self.reduced_iterations.append(res.n_iters)
@@ -1144,11 +1144,14 @@ class HierarchicalFactorization:
 
         def run() -> np.ndarray:
             x = np.empty_like(u)
-            for f in h.frontier:
-                x[f.lo : f.hi] = self.solve_subtree(f, u[f.lo : f.hi])
-            t = self._apply_v(x)
-            y = self._solve_reduced(t)
-            return x - self._apply_what(y)
+            with span("solve.subtrees", attrs={"frontier": len(h.frontier)}):
+                for f in h.frontier:
+                    x[f.lo : f.hi] = self.solve_subtree(f, u[f.lo : f.hi])
+            # counter deltas carry GMRES's operator/orthogonalization split.
+            with span("solve.reduced", counters=True):
+                y = self._solve_reduced(self._apply_v(x))
+            with span("solve.what"):
+                return x - self._apply_what(y)
 
         if self.config.storage != "low":
             return run()

@@ -1,13 +1,21 @@
-"""GMRES with modified Gram-Schmidt and optional CGS2 refinement.
+"""GMRES: one Arnoldi core, orthogonalized by batched CGS2.
 
-The paper uses PETSc's GMRES "with modified Gram-Schmidt for
-re-orthogonalization and GMRES CGS refinement"; this is a faithful
-numpy implementation with restart support and a recorded residual
-history (Figure 5 plots these histories).
+The paper solves the hybrid method's reduced system with PETSc's GMRES.
+Here one Krylov loop serves every caller: :func:`gmres_batched` runs
+GMRES(restart) on each column of an ``(n, k)`` panel in lockstep, each
+column on its own Krylov space, and :func:`gmres` is its ``k = 1``
+case.  Every iteration appends the k new basis vectors as one ``(k, n)``
+row and orthogonalizes all k of them against the basis with classical
+Gram-Schmidt, run twice (CGS2, "twice is enough") as batched matrix
+products; ``reorthogonalize=False`` runs one pass.  Givens rotations
+solve the small least-squares problem incrementally, and each column's
+relative residual is recorded per iteration (Figure 5 plots these
+histories).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +33,11 @@ __all__ = ["GMRESResult", "gmres", "gmres_batched"]
 #: (a singular operator leaves a ~1e-16 pivot that, divided through,
 #: poisons the update while the Givens recursion reports convergence).
 _BREAKDOWN_RTOL = 1e-13
+
+#: basis rows per allocation.  Krylov storage grows with the iterations
+#: taken, not with ``max_iters``, and never by a copy (which would hold
+#: two bases at once).
+_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -60,26 +73,6 @@ class GMRESResult:
         return self.residuals[-1] if self.residuals else float("nan")
 
 
-def _orthogonalize(
-    w: np.ndarray, V: list[np.ndarray], reorthogonalize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt of ``w`` against basis ``V`` (+ CGS2 pass)."""
-    h = np.zeros(len(V) + 1)
-    for i, v in enumerate(V):
-        hi = float(np.dot(v, w))
-        h[i] = hi
-        w = w - hi * v
-    if reorthogonalize:
-        # one classical re-orthogonalization sweep ("CGS refinement").
-        for i, v in enumerate(V):
-            c = float(np.dot(v, w))
-            h[i] += c
-            w = w - c * v
-    count_flops(4 * len(V) * len(w) * (2 if reorthogonalize else 1), label="gmres_mgs")
-    h[len(V)] = float(np.linalg.norm(w))
-    return w, h
-
-
 def gmres(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -93,7 +86,8 @@ def gmres(
     Parameters
     ----------
     matvec:
-        The operator.
+        The operator.  It receives a copy of the iterate, so it may
+        return or modify its argument.
     b:
         Right-hand side (1-D).
     config:
@@ -105,181 +99,38 @@ def gmres(
         inner step — the benchmark harness uses it to record
         residual-versus-work series.
     """
-    from repro.resilience.deadline import current_deadline
-
     config = config or GMRESConfig()
-    dl = current_deadline()  # soft stop: expiry ends iteration, never raises
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError("gmres expects a 1-D right-hand side")
-    n = len(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        result = GMRESResult(
-            x=np.zeros(n), converged=True, n_iters=0, residuals=[0.0]
-        )
-        _publish(result)
-        return result
-
-    restart = config.restart or config.max_iters
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-
-    residuals: list[float] = []
-    total_iters = 0
-    converged = False
-    breakdown = False
-    stopped = False
-
-    while (
-        total_iters < config.max_iters
-        and not converged
-        and not breakdown
-        and not stopped
-    ):
-        r = b - matvec(x) if (x0 is not None or total_iters > 0) else b.copy()
-        beta = float(np.linalg.norm(r))
-        rel = beta / bnorm
-        if not residuals:
-            residuals.append(rel)
-        if rel < config.tol:
-            converged = True
-            break
-
-        V = [r / beta]
-        H = np.zeros((restart + 1, restart))
-        # Givens rotations for the incremental least-squares solve.
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
-        g = np.zeros(restart + 1)
-        g[0] = beta
-
-        k = 0
-        for k in range(restart):
-            if total_iters >= config.max_iters:
-                break
-            if dl is not None and dl.expired:
-                # out of budget: keep the best iterate built so far —
-                # a degraded-but-finite answer beats an exception here
-                # (the caller's degradation ladder records the rung).
-                stopped = True
-                break
-            w = matvec(V[k])
-            w, h = _orthogonalize(w, V, config.reorthogonalize)
-            colnorm = float(np.linalg.norm(h[: k + 2]))
-            if h[k + 1] <= colnorm * _BREAKDOWN_RTOL:
-                # Krylov space closed (to roundoff): candidate lucky or
-                # hard breakdown, settled by the pivot test below.
-                h[k + 1] = 0.0
-                V.append(np.zeros_like(w))
-            else:
-                V.append(w / h[k + 1])
-            H[: k + 2, k] = h[: k + 2]
-
-            # apply accumulated rotations to the new column.
-            for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = t
-            denom = float(np.hypot(H[k, k], H[k + 1, k]))
-            if denom <= colnorm * _BREAKDOWN_RTOL:
-                # zero Hessenberg pivot: the Krylov space is exhausted
-                # and the k-th direction carries no information — a
-                # breakdown, not a lucky exit, unless the residual is
-                # already at tolerance.
-                cs[k], sn[k] = 1.0, 0.0
-                H[k, k] = 0.0  # min-norm back-substitution drops it
-                breakdown = True
-            else:
-                cs[k] = H[k, k] / denom
-                sn[k] = H[k + 1, k] / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-
-            total_iters += 1
-            # on breakdown the degenerate rotation zeroes g[k+1]; the
-            # true min-norm least-squares residual keeps the g[k] term.
-            rel = abs(g[k]) / bnorm if breakdown else abs(g[k + 1]) / bnorm
-            residuals.append(rel)
-            if callback is not None:
-                callback(total_iters, rel)
-            if rel < config.tol:
-                converged = True
-                breakdown = False  # lucky breakdown: exact solution.
-                k += 1
-                break
-            if breakdown:
-                k += 1
-                break
-        else:
-            k = restart
-
-        if k > 0:
-            y = _back_substitute(H, g, k)
-            update = np.zeros(n)
-            for i in range(k):
-                update += y[i] * V[i]
-            x = x + update
-        else:
-            break
-
-    if breakdown and not converged:
+    (res,), seconds = _arnoldi(
+        lambda V: np.reshape(matvec(V[:, 0]), (-1, 1)),
+        b[:, None],
+        config,
+        x0,
+        None if callback is None else (lambda it, rel: callback(it, float(rel[0]))),
+    )
+    if res.breakdown:
         emit_warning(
             "gmres.breakdown",
-            f"GMRES breakdown: zero Hessenberg pivot after {total_iters} "
-            f"iterations (relative residual {residuals[-1]:.3e}, tol "
+            f"GMRES breakdown: zero Hessenberg pivot after {res.n_iters} "
+            f"iterations (relative residual {res.final_residual:.3e}, tol "
             f"{config.tol:.1e}); the operator is singular or the Krylov "
             "space is exhausted — returning the minimum-norm "
             "least-squares solution.",
             ConvergenceWarning,
             stacklevel=2,
         )
-    elif not converged:
+    elif not res.converged:
         emit_warning(
             "gmres.unconverged",
-            f"GMRES stopped after {total_iters} iterations with relative "
-            f"residual {residuals[-1]:.3e} (tol {config.tol:.1e})",
+            f"GMRES stopped after {res.n_iters} iterations with relative "
+            f"residual {res.final_residual:.3e} (tol {config.tol:.1e})",
             ConvergenceWarning,
             stacklevel=2,
         )
-    result = GMRESResult(
-        x=x,
-        converged=converged,
-        n_iters=total_iters,
-        residuals=residuals,
-        breakdown=breakdown and not converged,
-    )
-    _publish(result)
-    return result
-
-
-def _publish(res: GMRESResult) -> None:
-    """One solve's worth of GMRES telemetry into the metrics registry."""
-    reg = registry()
-    reg.counter("gmres.solves").inc()
-    reg.counter("gmres.iterations").inc(res.n_iters)
-    if res.breakdown:
-        reg.counter("gmres.breakdowns").inc()
-    if not res.converged:
-        reg.counter("gmres.unconverged").inc()
-    reg.histogram("gmres.iters_per_solve").observe(res.n_iters)
-    if res.residuals:
-        reg.histogram("gmres.final_residual").observe(res.final_residual)
-
-
-def _back_substitute(H: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """Solve the k x k upper-triangular system from the Givens sweep.
-
-    A zero diagonal (breakdown column) contributes nothing: the
-    minimum-norm choice ``y[i] = 0`` — dividing by a tiny stand-in
-    would blow the update up by ~1e308 instead.
-    """
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        rhs = g[i] - H[i, i + 1 : k] @ y[i + 1 : k]
-        y[i] = rhs / H[i, i] if H[i, i] != 0.0 else 0.0
-    return y
+    _publish([res], *seconds)
+    return res
 
 
 def gmres_batched(
@@ -291,24 +142,24 @@ def gmres_batched(
 ) -> list[GMRESResult]:
     """Solve ``A X = B`` for a panel of right-hand sides in lockstep.
 
-    Each column runs the same MGS(+CGS2)/Givens recursion as
-    :func:`gmres` on its own Krylov space, but all columns advance
-    together: every iteration issues **one** ``matvec`` on an ``(n, k)``
-    block, so the operator sees BLAS-3 panels instead of ``k`` separate
-    GEMVs, and the Gram-Schmidt inner products vectorize across columns.
-    Columns that converge early simply ride along (the residual
-    recursion is monotone), with their iteration counts and histories
-    frozen at convergence.  Columns that *break down* mid-block (zero
-    Hessenberg pivot — e.g. a singular operator direction) are frozen
-    the same way instead of stalling the whole panel: they stop
-    iterating, keep their minimum-norm least-squares solution, and are
-    reported with ``breakdown=True``.
+    Each column runs GMRES on its own Krylov space, but all columns
+    advance together: every iteration issues **one** ``matvec`` on an
+    ``(n, k)`` block, so the operator sees BLAS-3 panels instead of
+    ``k`` separate GEMVs, and the Gram-Schmidt products batch across
+    columns.  A column that converges early rides along in the panel
+    with its iterate, iteration count and history frozen at
+    convergence, so each column's answer is the one a ``k = 1`` solve
+    of it gives.  Columns that *break down* (zero Hessenberg pivot —
+    e.g. a singular operator direction) are frozen the same way instead
+    of stalling the whole panel: they keep their minimum-norm
+    least-squares solution and are reported with ``breakdown=True``.
 
     Parameters
     ----------
     matvec:
         Operator accepting and returning ``(n, k)`` blocks (must act
-        column-wise, i.e. represent one linear operator).
+        column-wise, i.e. represent one linear operator).  It receives
+        a copy, so it may return or modify its argument.
     B:
         Right-hand sides, shape ``(n, k)``.
     config:
@@ -321,32 +172,133 @@ def gmres_batched(
     list of :class:`GMRESResult`, one per column (same fields as the
     single-vector solver, so callers can switch paths transparently).
     """
-    from repro.resilience.deadline import current_deadline
-
     config = config or GMRESConfig()
-    dl = current_deadline()  # soft stop, as in gmres()
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("gmres_batched expects a 2-D block of right-hand sides")
+    results, seconds = _arnoldi(matvec, B, config, x0, None)
+    bad = [c for c, res in enumerate(results) if not res.converged]
+    if bad:
+        worst = max(results[c].final_residual for c in bad)
+        down = [c for c in bad if results[c].breakdown]
+        extra = (
+            f", {len(down)} of them by Hessenberg-pivot breakdown {down}"
+            if down else ""
+        )
+        emit_warning(
+            "gmres.batched_unconverged",
+            f"batched GMRES stopped after "
+            f"{max(res.n_iters for res in results)} iterations with "
+            f"{len(bad)}/{len(results)} unconverged columns {bad}{extra} "
+            f"(worst relative residual {worst:.3e}, tol {config.tol:.1e})",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    _publish(results, *seconds)
+    return results
+
+
+def _publish(results: list[GMRESResult], operator_s: float, orthogonalize_s: float) -> None:
+    """One solve's worth of GMRES telemetry into the metrics registry."""
+    reg = registry()
+    reg.counter("gmres.operator_s").inc(operator_s)
+    reg.counter("gmres.orthogonalize_s").inc(orthogonalize_s)
+    for res in results:
+        reg.counter("gmres.solves").inc()
+        reg.counter("gmres.iterations").inc(res.n_iters)
+        if res.breakdown:
+            reg.counter("gmres.breakdowns").inc()
+        if not res.converged:
+            reg.counter("gmres.unconverged").inc()
+        reg.histogram("gmres.iters_per_solve").observe(res.n_iters)
+        if res.residuals:
+            reg.histogram("gmres.final_residual").observe(res.final_residual)
+
+
+class _Basis:
+    """Krylov basis: row ``i`` holds the k columns' ``i``-th vectors, ``(k, n)``.
+
+    Rows live in fixed-size chunks allocated on first use, so storage
+    follows the iterations taken; chunks are reused across restarts.
+    """
+
+    def __init__(self, k: int, n: int, max_rows: int) -> None:
+        self._shape = (min(_CHUNK_ROWS, max_rows), k, n)
+        self._chunks: list[np.ndarray] = []
+
+    def row(self, i: int) -> np.ndarray:
+        c, r = divmod(i, self._shape[0])
+        if c == len(self._chunks):
+            self._chunks.append(np.empty(self._shape))
+        return self._chunks[c][r]
+
+    def blocks(self, rows: int):
+        """``(lo, hi, V)`` over rows ``0..rows-1``; ``V`` is ``(k, hi - lo, n)``."""
+        size = self._shape[0]
+        for lo in range(0, rows, size):
+            hi = min(lo + size, rows)
+            yield lo, hi, self._chunks[lo // size][: hi - lo].transpose(1, 0, 2)
+
+
+def _cgs(basis: _Basis, rows: int, W: np.ndarray, passes: int) -> np.ndarray:
+    """Classical Gram-Schmidt of ``W`` (k, n) against basis rows ``0..rows-1``.
+
+    Each pass projects all k vectors out at once — per chunk, one batched
+    product for the coefficients and one for the update.  Returns the
+    summed coefficients, ``(rows, k)``.
+    """
+    blocks = list(basis.blocks(rows))
+    h = np.zeros((W.shape[0], rows))
+    for _ in range(passes):
+        coeffs = [np.matmul(V, W[:, :, None])[:, :, 0] for _, _, V in blocks]
+        for (lo, hi, V), c in zip(blocks, coeffs):
+            W -= np.matmul(c[:, None, :], V)[:, 0]
+            h[:, lo:hi] += c
+    count_flops(4 * rows * W.size * passes, label="gmres_cgs")
+    return h.T
+
+
+def _arnoldi(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    B: np.ndarray,
+    config: GMRESConfig,
+    x0: np.ndarray | None,
+    callback: Callable[[int, np.ndarray], None] | None,
+) -> tuple[list[GMRESResult], list[float]]:
+    """GMRES(restart) on every column of ``B`` (n, k) in lockstep.
+
+    Returns the per-column results and the seconds spent in the operator
+    and in orthogonalization.
+    """
+    from repro.resilience.deadline import current_deadline
+
+    dl = current_deadline()  # soft stop: expiry ends iteration, never raises
     n, k = B.shape
     bnorm = np.linalg.norm(B, axis=0)
     nonzero = bnorm > 0.0
     safe_bnorm = np.where(nonzero, bnorm, 1.0)
-
     restart = config.restart or config.max_iters
-    X = np.zeros((n, k)) if x0 is None else np.array(x0, dtype=np.float64)
+    passes = 2 if config.reorthogonalize else 1
+    X = np.zeros((n, k)) if x0 is None else np.array(x0, dtype=np.float64).reshape(n, k)
+    X[:, ~nonzero] = 0.0  # a zero right-hand side is solved exactly by 0
+    seconds = [0.0, 0.0]  # operator, orthogonalization
 
-    residuals: list[list[float]] = [[] for _ in range(k)]
+    def apply(Y: np.ndarray) -> np.ndarray:
+        t0 = time.perf_counter()
+        out = matvec(Y.copy())  # the operator may return or edit its argument
+        seconds[0] += time.perf_counter() - t0
+        return out
+
+    residuals: list[list[float]] = [[] if nz else [0.0] for nz in nonzero]
     n_iters = np.zeros(k, dtype=np.int64)
-    converged = ~nonzero  # zero columns are solved by X = 0
+    converged = ~nonzero
     broken = np.zeros(k, dtype=bool)
-    for c in np.flatnonzero(converged):
-        residuals[c].append(0.0)
+    basis = _Basis(k, n, restart + 1)
 
     total = 0
     stopped = False
-    while total < config.max_iters and not (converged | broken).all() and not stopped:
-        R = B - matvec(X) if (x0 is not None or total > 0) else B.copy()
+    while total < config.max_iters and not stopped and not (converged | broken).all():
+        R = B - apply(X) if (x0 is not None or total > 0) else B
         beta = np.linalg.norm(R, axis=0)
         rel = beta / safe_bnorm
         if total == 0:
@@ -354,113 +306,86 @@ def gmres_batched(
                 residuals[c].append(float(rel[c]))
         converged |= nonzero & (rel < config.tol)
         broken &= ~converged
-        if (converged | broken).all():
-            break
-
-        V = np.zeros((restart + 1, n, k))
-        V[0] = R / np.where(beta > 0.0, beta, 1.0)
-        H = np.zeros((restart + 1, restart, k))
-        cs = np.zeros((restart, k))
-        sn = np.zeros((restart, k))
-        g = np.zeros((restart + 1, k))
-        g[0] = beta
         active = ~converged & ~broken
-
-        j = 0
+        if not active.any():
+            break
+        basis.row(0)[:] = (R / np.where(beta > 0.0, beta, 1.0)).T
+        cs: list[np.ndarray] = []  # Givens rotations, one (k,) pair per step
+        sn: list[np.ndarray] = []
+        g = [beta]  # rotated right-hand side of the least-squares problem
+        Rcols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
+        steps = np.zeros(k, dtype=np.int64)  # each column's Krylov dimension
         for j in range(restart):
             if total >= config.max_iters:
                 break
             if dl is not None and dl.expired:
+                # out of budget: keep the best iterate built so far — a
+                # degraded-but-finite answer beats an exception here (the
+                # caller's degradation ladder records the rung).
                 stopped = True
                 break
-            W = matvec(V[j])
-            # MGS against the basis, all columns at once.
-            for i in range(j + 1):
-                hi = np.einsum("nk,nk->k", V[i], W)
-                H[i, j] = hi
-                W -= hi * V[i]
-            if config.reorthogonalize:
-                for i in range(j + 1):
-                    corr = np.einsum("nk,nk->k", V[i], W)
-                    H[i, j] += corr
-                    W -= corr * V[i]
-            count_flops(
-                4 * (j + 1) * n * k * (2 if config.reorthogonalize else 1),
-                label="gmres_mgs",
-            )
-            hlast = np.linalg.norm(W, axis=0)
-            H[j + 1, j] = hlast
-            colnorm = np.sqrt(np.einsum("ik,ik->k", H[: j + 2, j], H[: j + 2, j]))
+            W = basis.row(j + 1)
+            W[:] = apply(basis.row(j).T).T
+            t0 = time.perf_counter()
+            h = np.empty((j + 2, k))
+            h[: j + 1] = _cgs(basis, j + 1, W, passes)
+            h[j + 1] = np.linalg.norm(W, axis=1)
+            seconds[1] += time.perf_counter() - t0
+            colnorm = np.sqrt(np.einsum("ik,ik->k", h, h))
             # columns whose Krylov space closed (to roundoff) get a zero
             # direction and are protected in the triangular solve.
-            hz = hlast <= colnorm * _BREAKDOWN_RTOL
-            hlast = np.where(hz, 0.0, hlast)
-            H[j + 1, j] = hlast
-            V[j + 1] = np.where(hz, 0.0, W / np.where(hz, 1.0, hlast))
+            hz = h[j + 1] <= colnorm * _BREAKDOWN_RTOL
+            h[j + 1, hz] = 0.0
+            W /= np.where(hz, 1.0, h[j + 1])[:, None]
+            W[hz] = 0.0
 
-            # accumulated Givens rotations, per column.
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
+            rows = list(h)  # (k,) rows: rotating them skips 2-D indexing
+            for i in range(j):  # accumulated rotations, per column
+                a, b = rows[i], rows[i + 1]
+                rows[i] = cs[i] * a + sn[i] * b
+                rows[i + 1] = -sn[i] * a + cs[i] * b
+            denom = np.hypot(rows[j], rows[j + 1])
             dz = denom <= colnorm * _BREAKDOWN_RTOL
             denom_safe = np.where(dz, 1.0, denom)
-            cs[j] = np.where(dz, 1.0, H[j, j] / denom_safe)
-            sn[j] = np.where(dz, 0.0, H[j + 1, j] / denom_safe)
+            cs.append(np.where(dz, 1.0, rows[j] / denom_safe))
+            sn.append(np.where(dz, 0.0, rows[j + 1] / denom_safe))
             # breakdown columns zero the pivot so back-substitution takes
             # the minimum-norm branch instead of dividing by roundoff.
-            H[j, j] = np.where(dz, 0.0, cs[j] * H[j, j] + sn[j] * H[j + 1, j])
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+            rows[j] = np.where(dz, 0.0, cs[j] * rows[j] + sn[j] * rows[j + 1])
+            Rcols.append(np.array(rows[: j + 1]))
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
 
             total += 1
+            steps += active
+            n_iters += active
             # dz columns hit a zero Hessenberg pivot: the degenerate
             # rotation zeroes g[j+1], so their true min-norm LS residual
             # keeps the g[j] term (cs=1 left it unchanged).
-            rel = np.abs(g[j + 1]) / safe_bnorm
-            rel = np.where(dz, np.abs(g[j]) / safe_bnorm, rel)
+            rel = np.where(dz, np.abs(g[j]), np.abs(g[j + 1])) / safe_bnorm
             for c in np.flatnonzero(active):
                 residuals[c].append(float(rel[c]))
-                n_iters[c] += 1
-            newly = active & (rel < config.tol)
-            converged |= newly
-            active &= ~newly
+            if callback is not None:
+                callback(total, rel)
+            converged |= active & (rel < config.tol)
+            active &= ~converged
             # hard breakdown: pivot lost *and* not at tolerance — freeze
-            # the column like an early-converged one instead of letting
-            # it spin the whole panel through every remaining restart.
-            newly_broken = active & dz
-            broken |= newly_broken
-            active &= ~newly_broken
+            # the column like a converged one instead of letting it spin
+            # the whole panel through every remaining restart.
+            broken |= active & dz
+            active &= ~broken
             if not active.any():
-                j += 1
                 break
-        else:
-            j = restart
 
-        if j == 0:
+        if not Rcols:
             break
-        Y = _back_substitute_batched(H, g, j)
-        X = X + np.einsum("jnk,jk->nk", V[:j], Y)
-        count_flops(2 * j * n * k, label="gmres_update")
+        Y = _back_substitute(Rcols, g, steps)
+        update = np.zeros((k, n))
+        for lo, hi, V in basis.blocks(len(Rcols)):
+            update += np.matmul(Y[lo:hi].T[:, None, :], V)[:, 0]
+        X += update.T
+        count_flops(2 * len(Rcols) * n * k, label="gmres_update")
 
-    bad = np.flatnonzero(~converged)
-    if bad.size:
-        worst = max(residuals[c][-1] for c in bad)
-        down = np.flatnonzero(broken)
-        extra = (
-            f", {down.size} of them by Hessenberg-pivot breakdown "
-            f"{down.tolist()}" if down.size else ""
-        )
-        emit_warning(
-            "gmres.batched_unconverged",
-            f"batched GMRES stopped after {total} iterations with "
-            f"{bad.size}/{k} unconverged columns {bad.tolist()}{extra} "
-            f"(worst relative residual {worst:.3e}, tol {config.tol:.1e})",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
     results = [
         GMRESResult(
             x=X[:, c].copy(),
@@ -471,20 +396,25 @@ def gmres_batched(
         )
         for c in range(k)
     ]
-    for res in results:
-        _publish(res)
-    return results
+    return results, seconds
 
 
-def _back_substitute_batched(H: np.ndarray, g: np.ndarray, j: int) -> np.ndarray:
-    """Column-wise upper-triangular solve; ``H`` is (restart+1, restart, k).
+def _back_substitute(Rcols: list[np.ndarray], g: list[np.ndarray], steps: np.ndarray) -> np.ndarray:
+    """Solve each column's triangular system over its own ``steps`` rows.
 
-    Zero diagonals (breakdown columns) take the minimum-norm ``Y = 0``.
+    ``Rcols[i]`` is column ``i`` of the rotated Hessenberg matrix, rows
+    ``0..i``, for all k columns.  Rows at or past a column's ``steps``
+    were built after it froze and take ``y = 0``, so a frozen column's
+    update is the one its own solve would make.  A zero diagonal
+    (breakdown) also takes the minimum-norm ``y = 0`` — dividing by a
+    tiny stand-in would blow the update up by ~1e308 instead.
     """
-    k = H.shape[2]
-    Y = np.zeros((j, k))
-    for i in range(j - 1, -1, -1):
-        rhs = g[i] - np.einsum("mk,mk->k", H[i, i + 1 : j], Y[i + 1 : j])
-        dz = H[i, i] == 0.0
-        Y[i] = np.where(dz, 0.0, rhs / np.where(dz, 1.0, H[i, i]))
+    m = len(Rcols)
+    rhs = np.array(g[:m])
+    Y = np.zeros_like(rhs)
+    for i in range(m - 1, -1, -1):
+        d = Rcols[i][i]
+        use = (i < steps) & (d != 0.0)
+        Y[i] = np.where(use, rhs[i] / np.where(use, d, 1.0), 0.0)
+        rhs[:i] -= Rcols[i][:i] * Y[i]
     return Y

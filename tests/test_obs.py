@@ -340,6 +340,35 @@ class TestEndToEndTelemetry:
         rendered = render_trace()
         assert "factorize" in rendered and "gmres.iterations" in rendered
 
+    def test_hybrid_solve_splits_into_spans_and_gmres_seconds(self):
+        X = RNG.standard_normal((600, 3))
+        solver = FastKernelSolver(
+            GaussianKernel(bandwidth=1.0),
+            tree_config=TreeConfig(leaf_size=64, seed=0),
+            skeleton_config=SkeletonConfig(
+                tau=1e-5, max_rank=48, num_samples=128,
+                num_neighbors=8, level_restriction=2, seed=1,
+            ),
+            solver_config=SolverConfig(method="hybrid"),
+        )
+        solver.fit(X)
+        solver.factorize(0.5)
+        solver.solve(RNG.standard_normal((600, 3)))
+
+        (solve,) = [s for s in solver.telemetry()["spans"] if s["name"] == "solve"]
+        children = {c["name"]: c for c in solve["children"]}
+        assert set(children) == {"solve.subtrees", "solve.reduced", "solve.what"}
+        # GMRES's own clock: operator and orthogonalization seconds,
+        # inside the reduced span that ran it.
+        reduced = children["solve.reduced"]
+        operator_s = reduced["counters"]["gmres.operator_s"]
+        orthogonalize_s = reduced["counters"]["gmres.orthogonalize_s"]
+        assert operator_s > 0.0 and orthogonalize_s > 0.0
+        assert operator_s + orthogonalize_s <= reduced["duration_s"]
+        assert reduced["counters"]["gmres.solves"] == 3
+        rendered = render_trace()
+        assert "solve.reduced" in rendered and "gmres.orthogonalize_s" in rendered
+
     def test_telemetry_snapshot_standalone_schema(self):
         snap = telemetry_snapshot()
         assert set(snap) == {"schema", "spans", "metrics"}

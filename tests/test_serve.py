@@ -4,6 +4,7 @@ scoping, locked work budgets, the solve_with_info single-permute path).
 """
 
 import asyncio
+import contextlib
 import json
 import threading
 import time
@@ -396,27 +397,36 @@ class TestSolverService:
 # ----------------------------------------------------------------------
 # daemon (JSON lines over loopback TCP)
 # ----------------------------------------------------------------------
-class TestServeDaemon:
-    @pytest.fixture()
-    def endpoint(self, solver):
-        svc = SolverService(ServeConfig(window_seconds=0.01, max_batch=8))
-        svc.registry.register(solver)
-        daemon = ServeDaemon(svc, port=0)
-        ready = threading.Event()
+@contextlib.contextmanager
+def _serving(solver):
+    """A daemon serving ``solver`` on a loopback port, in its own thread."""
+    svc = SolverService(ServeConfig(window_seconds=0.01, max_batch=8))
+    svc.registry.register(solver)
+    daemon = ServeDaemon(svc, port=0)
+    ready = threading.Event()
 
-        async def main():
-            await daemon.start()
-            ready.set()
-            await daemon.wait_stopped()
-            await daemon.aclose()
+    async def main():
+        await daemon.start()
+        ready.set()
+        await daemon.wait_stopped()
+        await daemon.aclose()
 
-        thread = threading.Thread(target=lambda: asyncio.run(main()))
-        thread.start()
-        assert ready.wait(10.0)
+    thread = threading.Thread(target=lambda: asyncio.run(main()))
+    thread.start()
+    assert ready.wait(10.0)
+    try:
         yield daemon
+    finally:
         daemon.request_stop()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+class TestServeDaemon:
+    @pytest.fixture()
+    def endpoint(self, solver):
+        with _serving(solver) as daemon:
+            yield daemon
 
     def test_solve_health_shutdown_roundtrip(self, endpoint, solver):
         with ServeClient(port=endpoint.bound_port) as client:
@@ -442,6 +452,16 @@ class TestServeDaemon:
             client._file.flush()
             reply = json.loads(client._file.readline())
             assert reply["ok"] is False and reply["code"] == EXIT_USAGE
+
+    def test_request_above_asyncio_default_line_limit_is_answered(self):
+        # asyncio's default 64 KiB StreamReader limit dropped every solve
+        # request of a model above ~3,100 points; N=4096 sends ~85 KB.
+        big = _make_solver(n=4096)
+        u = RNG.standard_normal(big.n_points)
+        assert len(json.dumps({"op": "solve", "rhs": u.tolist()})) > 1 << 16
+        with _serving(big) as daemon, ServeClient(port=daemon.bound_port) as client:
+            w = client.solve(u)["w"]
+        assert np.allclose(w, big.solve(u), atol=1e-12)
 
     def test_overloaded_status_code(self, solver):
         from repro.cli import EXIT_OVERLOADED
@@ -845,24 +865,8 @@ class TestDaemonUpdate:
     @pytest.fixture()
     def endpoint(self):
         solver = _make_solver(n=256, seed=36)
-        svc = SolverService(ServeConfig(window_seconds=0.01, max_batch=8))
-        svc.registry.register(solver)
-        daemon = ServeDaemon(svc, port=0)
-        ready = threading.Event()
-
-        async def main():
-            await daemon.start()
-            ready.set()
-            await daemon.wait_stopped()
-            await daemon.aclose()
-
-        thread = threading.Thread(target=lambda: asyncio.run(main()))
-        thread.start()
-        assert ready.wait(10.0)
-        yield daemon, solver
-        daemon.request_stop()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
+        with _serving(solver) as daemon:
+            yield daemon, solver
 
     def test_update_roundtrip(self, endpoint):
         daemon, solver = endpoint
