@@ -17,14 +17,14 @@ persistent storage words, and the speedup ratio per problem size.
 
 With ``--parallel`` the benchmark instead measures the vMPI *backend
 axis* (docs/PARALLELISM.md): distributed factorize + solve on the
-``thread`` backend (GIL-shared) vs the ``process`` backend (true
-multi-core over shared-memory transport) vs the ``socket`` backend
-(TCP control plane + shm envelopes), asserting the solutions are
-bitwise identical, and writes ``BENCH_parallel.json``.  The speedup
-claim is hardware-honest: ``cpu_count`` is recorded, the ">1x"
-assertion only fires on hosts with at least two cores, and on a
-single-core container the multiprocess backends are expected to *lose*
-(spawn + IPC overhead with no cores to win back).
+``thread`` backend (GIL-shared) vs the ``socket`` backend (spawned rank
+processes: TCP control plane + shm envelopes, true multi-core),
+asserting the solutions are bitwise identical, and writes
+``BENCH_parallel.json``.  The speedup claim is hardware-honest:
+``cpu_count`` is recorded, the ">1x" assertion only fires on hosts
+with at least two cores, and on a single-core container the socket
+backend is expected to *lose* (spawn + IPC overhead with no cores to
+win back).
 
 With ``--level-batch-compare`` it instead measures the *level-batching
 axis* (docs/PERFORMANCE.md): factorization wall time of the nlogn direct
@@ -158,11 +158,11 @@ def bench_size(n: int, k: int, level_restriction: int) -> dict:
     }
 
 
-PARALLEL_BACKENDS = ("thread", "process", "socket")
+PARALLEL_BACKENDS = ("thread", "socket")
 
 
 def bench_parallel_size(n: int, n_ranks: int) -> dict:
-    """Distributed factorize + solve across all three vMPI backends."""
+    """Distributed factorize + solve on every vMPI backend."""
     from repro.parallel import distributed_factorize, distributed_solve
 
     X, kernel, gen = make_problem(n)
@@ -478,9 +478,8 @@ def run_parallel_bench(args) -> int:
         runs.append(run)
         print(
             f"  thread {run['thread']['total_s']:.3f}s  "
-            f"process {run['process']['total_s']:.3f}s  "
             f"socket {run['socket']['total_s']:.3f}s  "
-            f"speedup(process) {run['speedup_process_vs_thread']:.2f}x  "
+            f"speedup(socket) {run['speedup_socket_vs_thread']:.2f}x  "
             f"bitwise={run['bitwise_identical']}",
             flush=True,
         )
@@ -504,8 +503,8 @@ def run_parallel_bench(args) -> int:
         "speedup_asserted": bool(cpu_count >= 2),
         "note": (
             "speedups over the thread backend require real cores; on a "
-            "single-CPU host the process and socket backends pay spawn "
-            "+ IPC overhead with no parallelism to win back, so the "
+            "single-CPU host the socket backend pays spawn + IPC "
+            "overhead with no parallelism to win back, so the "
             "speedup assertion is gated on cpu_count >= 2"
         ),
         "runs": runs,
@@ -537,8 +536,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel", action="store_true",
-        help="benchmark the vMPI backend axis (thread vs process vs "
-             "socket) instead; writes BENCH_parallel.json",
+        help="benchmark the vMPI backend axis (thread vs socket) "
+             "instead; writes BENCH_parallel.json",
     )
     parser.add_argument(
         "--ranks", type=int, default=DEFAULT_RANKS,

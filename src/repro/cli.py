@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="raise on deadline expiry instead of stepping "
                               "down the degradation ladder (exit code 4)")
     p_solve.add_argument("--backend", default=None,
-                         choices=["thread", "process", "socket"],
+                         choices=["thread", "socket"],
                          help="vMPI execution backend for the parallel paths "
                               "(default: REPRO_VMPI_BACKEND or 'thread'; "
                               "docs/PARALLELISM.md)")

@@ -336,9 +336,10 @@ class SolverConfig:
     level_batch: bool = True
 
     #: vMPI execution backend for the distributed paths: "thread"
-    #: (shared-memory mailboxes, debuggable), "process" (true multi-core
-    #: via multiprocessing + shared-memory transport), or None to defer
-    #: to the REPRO_VMPI_BACKEND environment (docs/PARALLELISM.md).
+    #: (shared-memory mailboxes, debuggable), "socket" (true multi-core:
+    #: spawned rank processes over TCP + shared-memory transport), or
+    #: None to defer to the REPRO_VMPI_BACKEND environment
+    #: (docs/PARALLELISM.md).
     backend: str | None = None
 
     #: incremental updates (docs/UPDATES.md): when a point
@@ -381,14 +382,9 @@ class SolverConfig:
             raise ConfigurationError(
                 f"storage must be 'full' or 'low'; got {self.storage!r}"
             )
-        if self.backend is not None and self.backend not in (
-            "thread",
-            "process",
-            "socket",
-        ):
+        if self.backend is not None and self.backend not in ("thread", "socket"):
             raise ConfigurationError(
-                "backend must be 'thread', 'process', 'socket', or None; "
-                f"got {self.backend!r}"
+                f"backend must be 'thread', 'socket', or None; got {self.backend!r}"
             )
         if not 0.0 < self.update_rebuild_threshold <= 1.0:
             raise ConfigurationError(

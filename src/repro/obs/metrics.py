@@ -313,7 +313,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snap: dict, **extra_labels: str) -> None:
         """Fold a :meth:`snapshot` from another registry into this one.
 
-        The process-backed SPMD launcher ships each rank's registry
+        The socket-backed SPMD launcher ships each rank's registry
         snapshot back at join and merges it here with an extra ``rank``
         label, so per-rank series stay distinguishable while
         :meth:`total` still reports launch-wide sums (the thread

@@ -1,10 +1,11 @@
 """Distributed-memory parallelization (paper section II-B, Figure 1).
 
 The paper runs on MPI; this environment has no MPI, so
-:mod:`repro.parallel.vmpi` provides a deterministic in-process
-message-passing runtime with the mpi4py API surface (ranks are threads,
-messages are tagged mailbox entries, collectives are binomial trees
-over point-to-point sends so message *counts* match a real MPI tree
+:mod:`repro.parallel.vmpi` provides a deterministic message-passing
+runtime with the mpi4py API surface (ranks are threads by default, or
+spawned processes over TCP with ``backend="socket"``; messages are
+tagged mailbox entries, collectives are binomial trees over
+point-to-point sends so message *counts* match a real MPI tree
 implementation).  :mod:`repro.parallel.dist_solver` implements
 Algorithms II.4 (DistFactorize) and II.5 (DistSolve) verbatim against
 that API, and the fabric's byte/message counters verify the paper's

@@ -261,7 +261,7 @@ def distributed_hybrid_factorize(
         hosts=hosts,
         heartbeat=heartbeat,
     )
-    if backend in ("process", "socket"):
+    if backend == "socket":
         # rebind the unpickled per-rank HMatrix copies to the caller's
         # instance (see distributed_factorize).
         for state in states:

@@ -372,9 +372,9 @@ def distributed_factorize(
     recorded in the returned factorization's ``health``.
 
     ``backend`` selects the vMPI execution backend (``"thread"``,
-    ``"process"``, ``"socket"``, or ``None`` for ``config.backend``,
-    which itself defaults to the ``REPRO_VMPI_BACKEND`` environment).
-    All produce bitwise-identical factors; see docs/PARALLELISM.md.
+    ``"socket"``, or ``None`` for ``config.backend``, which itself
+    defaults to the ``REPRO_VMPI_BACKEND`` environment).  Both produce
+    bitwise-identical factors; see docs/PARALLELISM.md.
 
     ``elastic=True`` arms **repartitioning**: every rank checkpoints its
     subtree factors at the local/distributed boundary, and when a rank
@@ -453,7 +453,7 @@ def distributed_factorize(
             n_ranks //= 2
             if fault_plan is not None:
                 # the supervisor's own copy of the plan may not have
-                # seen the victim fire (process/socket ship copies).
+                # seen the victim fire (socket ranks get copies).
                 fault_plan.disarm_crash()
 
     for lost in lost_stats:
@@ -469,7 +469,7 @@ def distributed_factorize(
             registry().counter(
                 "fabric.faults", kind="repartitions", rank=event["lost_rank"]
             ).inc(1)
-    if backend in ("process", "socket"):
+    if backend == "socket":
         # Rank states come back as unpickled copies, each dragging its
         # own HMatrix copy.  Rebind them all to the caller's instance:
         # one HMatrix in memory, and a later pickle of the whole

@@ -281,29 +281,16 @@ def execute_factorization(
     *,
     n_workers: int = 4,
     timeout: float = 600.0,
-    backend: str | None = None,
 ) -> HierarchicalFactorization:
     """Run the factorization with real dependency-driven task parallelism.
 
     Produces a :class:`HierarchicalFactorization` identical (to roundoff)
     to the serial :func:`repro.solvers.factorize`; node tasks execute as
-    soon as their children finish.
-
-    Two backends (``backend=None`` defers to ``config.backend`` and the
-    ``REPRO_VMPI_BACKEND`` environment; docs/PARALLELISM.md):
-
-    * ``"thread"`` — a thread pool over the shared factorization
-      (numpy/LAPACK release the GIL, so heavy nodes genuinely overlap).
-    * ``"process"`` — a spawn-based process pool: each worker holds its
-      own :class:`HierarchicalFactorization` built from one
-      shared-memory copy of the problem; node tasks ship child factors
-      in and finished factors out as shared-memory payload envelopes
-      (:mod:`repro.parallel.vmpi.shm`), and the parent re-assembles the
-      full factorization plus the workers' stability records and flop
-      counts.  The numerical recovery ladder
-      (``config.recovery.enabled``) is thread-backend-only: its lambda
-      bumps mutate cross-node state that cannot be shared between
-      worker processes.
+    soon as their children finish, on a thread pool over the shared
+    factorization (LAPACK/BLAS release the GIL, so heavy nodes genuinely
+    overlap).  The numerical recovery ladder (``config.recovery``) runs
+    unchanged.  For factorization on separate cores use
+    ``distributed_factorize(backend="socket")`` (docs/PARALLELISM.md).
 
     ``timeout`` is the deadlock watchdog: if the DAG fails to complete
     within it (a lost wakeup, a dependency cycle from a corrupted DAG),
@@ -313,11 +300,9 @@ def execute_factorization(
     every worker (contextvars do not cross thread spawns on their own),
     checked at task start, and additionally clamps the watchdog.
     """
-    from repro.parallel.vmpi import resolve_backend
     from repro.resilience.deadline import current_deadline, deadline_scope
 
     config = config or SolverConfig()
-    backend = resolve_backend(backend if backend is not None else config.backend)
     if timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0; got {timeout}")
     dl = current_deadline()
@@ -329,17 +314,9 @@ def execute_factorization(
     fact = HierarchicalFactorization(hmatrix, lam, config)
     tree = hmatrix.tree
     if tree.depth == 0:
-        fact._factor_leaf(tree.root)
+        fact._factor_node(tree.root)
         fact._factored = True
         return fact
-
-    if backend in ("process", "socket"):
-        # the task DAG has no message fabric — "socket" degrades to the
-        # process pool (same workers, same shm envelopes); the socket
-        # transport only matters for SPMD rank programs.
-        return _execute_factorization_processes(
-            fact, hmatrix, lam, config, n_workers=n_workers, timeout=timeout
-        )
 
     dag = build_factor_dag(hmatrix)
     succ = dag.successors()
@@ -356,11 +333,10 @@ def execute_factorization(
                 if tid == REDUCED_TASK:
                     fact._build_reduced()
                 else:
-                    node = tree.node(tid)
-                    if tree.is_leaf(node):
-                        fact._factor_leaf(node)
-                    else:
-                        fact._factor_internal(node)
+                    # a recovery rung re-factors this node's subtree:
+                    # finished, and touched by no other task until this
+                    # one ends.
+                    fact._factor_node(tree.node(tid))
         except BaseException as exc:  # noqa: BLE001 - propagate to caller
             errors.append(exc)
             done.set()
@@ -412,183 +388,3 @@ def execute_factorization(
     fact.stability.warn_if_unstable()
     return fact
 
-
-# ----------------------------------------------------------------------
-# process backend: spawn-based pool with shared-memory payload transport
-# ----------------------------------------------------------------------
-
-#: per-worker-process state installed by :func:`_dag_worker_init`.
-_DAG_STATE: dict = {}
-
-
-def _dag_worker_init(prog_env: dict, deadline_s: float | None) -> None:
-    """Pool initializer: build this worker's factorization context.
-
-    ``prog_env`` is one shared-memory envelope of ``(hmatrix, lam,
-    config)`` packed once by the parent — every worker attaches the same
-    segments instead of receiving its own pickled copy of the point
-    coordinates and kernel blocks through a pipe.
-    """
-    from repro.parallel.vmpi import shm
-    from repro.resilience.deadline import Deadline
-
-    hmatrix, lam, config = shm.unpack(prog_env)
-    _DAG_STATE["fact"] = HierarchicalFactorization(hmatrix, lam, config)
-    _DAG_STATE["deadline"] = (
-        Deadline(deadline_s) if deadline_s is not None else None
-    )
-
-
-def _dag_run_node(tid: int, child_envs: list) -> dict:
-    """Factor one node in a worker process; returns a payload envelope.
-
-    ``child_envs`` carry the children's factors (this worker may not
-    have factored them); restore is idempotent, so a worker that *did*
-    factor a child locally just unlinks the shipped copy.
-    """
-    from repro.parallel.vmpi import shm
-    from repro.util.flops import FlopCounter
-
-    fact = _DAG_STATE["fact"]
-    dl = _DAG_STATE["deadline"]
-    if dl is not None:
-        dl.check(f"taskdag.task({tid})")
-    for env in child_envs:
-        fact.restore_node_payload(shm.unpack(env, unlink=True))
-    tree = fact.hmatrix.tree
-    node = tree.node(tid)
-    with FlopCounter() as counter:
-        if tree.is_leaf(node):
-            fact._factor_leaf(node)
-        else:
-            fact._factor_internal(node)
-    payload = fact.export_node_payload(tid)
-    payload["flops"] = counter.flops
-    payload["by_label"] = dict(counter.by_label)
-    return shm.pack(payload)
-
-
-def _execute_factorization_processes(
-    fact: HierarchicalFactorization,
-    hmatrix: HMatrix,
-    lam: float,
-    config: SolverConfig,
-    *,
-    n_workers: int,
-    timeout: float,
-) -> HierarchicalFactorization:
-    """DAG execution on a spawn-based process pool (true multi-core).
-
-    The parent is the scheduler: it submits node tasks as their
-    children complete, transplants each finished payload into its own
-    factorization, forwards the payload envelope to the node's parent
-    task (single downstream consumer — the tree parent — unlinks it),
-    and runs the coalesced frontier stage itself.
-    """
-    import multiprocessing as mp
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    from repro.parallel.vmpi import shm
-    from repro.resilience.deadline import current_deadline
-    from repro.util.flops import current_counter
-
-    if config.recovery.enabled:
-        raise ConfigurationError(
-            "the numerical recovery ladder is not supported on the "
-            "process backend (lambda bumps mutate cross-node state); "
-            "use backend='thread' with recovery, or disable recovery"
-        )
-    dl = current_deadline()
-    effective = timeout
-    deadline_s: float | None = None
-    if dl is not None and dl.remaining() != float("inf"):
-        deadline_s = dl.remaining()
-        effective = min(timeout, deadline_s + 5.0)
-
-    tree = hmatrix.tree
-    dag = build_factor_dag(hmatrix)
-    succ = dag.successors()
-    pending = {tid: len(t.deps) for tid, t in dag.tasks.items()}
-    n_node_tasks = len(dag.tasks) - 1  # REDUCED_TASK runs in the parent
-    counter = current_counter()
-
-    prog_env = shm.pack((hmatrix, lam, config))
-    envs: dict[int, dict] = {}  # finished node -> its payload envelope
-    ctx = mp.get_context("spawn")
-    pool = ProcessPoolExecutor(
-        max_workers=max(1, n_workers),
-        mp_context=ctx,
-        initializer=_dag_worker_init,
-        initargs=(prog_env, deadline_s),
-    )
-    # future -> (task id, the child envelopes handed to that task) —
-    # kept so an aborted launch can free envelopes whose consuming task
-    # was cancelled before it ran (free is idempotent for the rest).
-    futures: dict = {}
-
-    def submit(tid: int) -> None:
-        node = tree.node(tid)
-        child_envs = []
-        if not tree.is_leaf(node):
-            child_envs = [envs.pop(cid) for cid in (node.left_id, node.right_id)]
-        futures[pool.submit(_dag_run_node, tid, child_envs)] = (tid, child_envs)
-
-    completed = 0
-    ok = False
-    try:
-        for tid, cnt in pending.items():
-            if cnt == 0 and tid != REDUCED_TASK:
-                submit(tid)
-        while completed < n_node_tasks:
-            done_set, _ = wait(
-                futures, timeout=effective, return_when=FIRST_COMPLETED
-            )
-            if not done_set:
-                if dl is not None and dl.expired:
-                    raise DeadlineExceededError(
-                        f"task-parallel factorization exceeded its deadline "
-                        f"(watchdog after {effective:.1f}s)"
-                    )
-                raise DeadlockError(
-                    f"task-parallel factorization stalled: "
-                    f"{n_node_tasks - completed} node tasks unfinished "
-                    f"after {effective:.1f}s; refusing to proceed with a "
-                    "partial factorization"
-                )
-            for fut in done_set:
-                tid, _consumed = futures.pop(fut)
-                env = fut.result()  # re-raises worker-side exceptions
-                payload = shm.unpack(env)
-                if counter is not None:
-                    labeled = 0
-                    for label, n in payload["by_label"].items():
-                        counter.add_flops(n, label)
-                        labeled += n
-                    counter.add_flops(payload["flops"] - labeled)
-                fact.restore_node_payload(payload)
-                envs[tid] = env
-                completed += 1
-                for s in succ[tid]:
-                    pending[s] -= 1
-                    if pending[s] == 0 and s != REDUCED_TASK:
-                        submit(s)
-        # the coalesced frontier system is built in the parent (it needs
-        # the H-matrix's cached sibling blocks, which live here anyway).
-        fact._build_reduced()
-        ok = True
-    finally:
-        # success: wait for workers so nobody is still attached to the
-        # program envelope; failure: cancel what never started and free
-        # the envelopes its tasks would have consumed.
-        pool.shutdown(wait=ok, cancel_futures=not ok)
-        shm.free(prog_env)
-        for env in envs.values():
-            shm.free(env)
-        if not ok:
-            for _tid, child_envs in futures.values():
-                for env in child_envs:
-                    shm.free(env)
-
-    fact._factored = True
-    fact.stability.warn_if_unstable()
-    return fact

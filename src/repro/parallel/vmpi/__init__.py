@@ -1,13 +1,12 @@
 """Virtual MPI: a deterministic message-passing runtime.
 
-Ranks execute the same SPMD function on one of three backends — threads
-over a shared logged-mailbox fabric (default, debuggable), real
-``multiprocessing`` workers with shared-memory payload transport
-(``run_spmd(..., backend="process")``, true multi-core), or spawned
-workers over TCP with heartbeat failure detection and elastic
-membership (``backend="socket"``; see docs/PARALLELISM.md).  The
-fabric routes tagged messages between (communicator, source, dest)
-mailboxes.
+Ranks execute the same SPMD function on one of two backends — threads
+over a shared logged-mailbox fabric (default, debuggable), or spawned
+worker processes over TCP with shared-memory payload transport,
+heartbeat failure detection and elastic membership
+(``run_spmd(..., backend="socket")``, true multi-core; see
+docs/PARALLELISM.md).  The fabric routes tagged messages between
+(communicator, source, dest) mailboxes.
 Collectives (bcast/reduce/allreduce/gather/allgather/barrier) are
 implemented as binomial trees over point-to-point messages, so the
 fabric's message and byte counters reflect the O(log p) per-collective

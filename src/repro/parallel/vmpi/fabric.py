@@ -124,10 +124,10 @@ class CommStats:
     def merge(self, other: "CommStats") -> None:
         """Fold another launch-segment's counters into this one.
 
-        Used by the process backend: each rank counts the faults *it*
-        observed in a rank-local ``CommStats`` (the fabric proxy), and
-        the supervisor merges them into the router's traffic stats at
-        join so the launch total matches the thread backend's single
+        Used by the socket backend: each rank counts the faults *it*
+        observed in a rank-local ``CommStats`` (the rank-side fabric),
+        and the supervisor merges them into the router's traffic stats
+        at join so the launch total matches the thread backend's single
         shared instance.
         """
         with self._lock:

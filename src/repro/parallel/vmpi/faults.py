@@ -108,8 +108,8 @@ class FaultPlan:
         communicator operation.  A hang is reported to nobody; only the
         socket backend's heartbeat failure detector
         (:mod:`repro.parallel.vmpi.membership`) can recover from it.
-        On the thread/process backends a hang degenerates into a recv
-        timeout on the peers (documented; do not use it there).
+        On the thread backend a hang degenerates into a recv timeout
+        on the peers (documented; do not use it there).
     hang_seconds:
         How long a hung rank stays wedged before waking up as a
         *zombie* and attempting to resume — exercising the supervisor's
@@ -208,7 +208,7 @@ class FaultPlan:
     def disarm_crash(self) -> None:
         """Mark the scheduled crash (and hang) as already fired.
 
-        The process backend ships each rank a *copy* of the plan, so a
+        The socket backend ships each rank a *copy* of the plan, so a
         respawned replacement would re-fire the crash its predecessor
         already suffered; the supervisor disarms the replacement's copy
         (the thread backend gets this for free from the shared
@@ -218,7 +218,7 @@ class FaultPlan:
             self._crash_fired = True
             self._hang_fired = True
 
-    # -- pickling: the process backend ships the plan to every rank ----
+    # -- pickling: the socket backend ships the plan to every rank -----
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_lock", None)

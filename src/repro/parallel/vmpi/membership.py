@@ -1,11 +1,12 @@
 """Elastic membership for the socket-backed vMPI fabric.
 
 A real MPI cluster can lose a rank *for good* — the host dies, the
-network partitions, the process is OOM-killed.  The thread and process
-backends never face this (every rank shares the supervisor's machine
-and lifetime), so their only recovery is log-replay respawn.  The
-socket backend (:mod:`repro.parallel.vmpi.sockets`) spans machines, and
-this module gives its supervisor the two pieces real clusters need:
+network partitions, the process is OOM-killed.  The thread backend
+never faces this (every rank shares the supervisor's process and
+lifetime), so its only recovery is log-replay respawn.  The socket
+backend (:mod:`repro.parallel.vmpi.sockets`) spans processes (and, in
+its transport shape, machines), and this module gives its supervisor
+the two pieces real clusters need:
 
 * a **heartbeat failure detector** (:class:`FailureDetector`): every
   rank beats at ``HeartbeatConfig.interval``; a rank whose last beat is

@@ -6,22 +6,19 @@ every rank's return value plus the fabric's traffic statistics.  A
 rank that raises aborts the whole launch (waking any rank blocked in
 ``recv``) and re-raises in the caller.
 
-Three backends share this entry point (docs/PARALLELISM.md):
+Two backends share this entry point (docs/PARALLELISM.md):
 
 * ``backend="thread"`` (default) — ranks are threads over the shared
   logged-mailbox :class:`~repro.parallel.vmpi.fabric.Fabric`.
   Zero-copy, single-process, fully debuggable; but the GIL serializes
   everything that is not inside BLAS.
-* ``backend="process"`` — ranks are ``multiprocessing`` workers over a
-  queue-routed fabric with shared-memory payload transport
-  (:mod:`repro.parallel.vmpi.process`): true multi-core execution with
-  bitwise-identical results.  Requires ``fn`` and its arguments to be
-  picklable.
-* ``backend="socket"`` — ranks are spawned workers speaking TCP frames
-  to a supervisor router (:mod:`repro.parallel.vmpi.sockets`): the
-  same pickle-5 envelopes (shared memory for co-hosted ranks, inline
-  over the wire for remote ones), plus heartbeat failure detection and
-  elastic membership — the only backend that can recover a *hang*.
+* ``backend="socket"`` — ranks are spawned worker processes speaking
+  TCP frames to a supervisor router (:mod:`repro.parallel.vmpi.sockets`):
+  true multi-core execution with bitwise-identical results.  Payloads
+  are pickle-5 envelopes (shared memory for co-hosted ranks, inline
+  over the wire for remote ones), and heartbeat failure detection plus
+  elastic membership make it the backend that can recover a *hang*.
+  Requires ``fn`` and its arguments to be picklable.
 
 ``backend=None`` resolves from the ``REPRO_VMPI_BACKEND`` environment
 variable, defaulting to ``thread``.
@@ -64,7 +61,7 @@ from repro.util.flops import current_counter
 __all__ = ["run_spmd", "resolve_backend", "BACKENDS"]
 
 #: execution backends for :func:`run_spmd`.
-BACKENDS = ("thread", "process", "socket")
+BACKENDS = ("thread", "socket")
 
 #: environment override for the default backend.
 ENV_BACKEND = "REPRO_VMPI_BACKEND"
@@ -130,11 +127,10 @@ def run_spmd(
     max_respawns:
         Per-rank budget of crash recoveries before the launch aborts.
     backend:
-        ``"thread"`` (default), ``"process"``, ``"socket"``, or ``None``
-        to consult ``REPRO_VMPI_BACKEND``.  All backends produce
-        bitwise-identical results; process and socket additionally
-        require ``fn`` and its arguments to be picklable (module-level
-        functions).
+        ``"thread"`` (default), ``"socket"``, or ``None`` to consult
+        ``REPRO_VMPI_BACKEND``.  Both backends produce bitwise-identical
+        results; socket additionally requires ``fn`` and its arguments
+        to be picklable (module-level functions).
     elastic:
         When True, a rank that is *permanently* lost (crash with the
         respawn budget exhausted, or — socket backend — a
@@ -145,8 +141,8 @@ def run_spmd(
     hosts / heartbeat:
         Socket-backend only: round-robin rank→host assignment and
         failure-detector timing (see
-        :mod:`repro.parallel.vmpi.membership`).  Ignored by the other
-        backends.
+        :mod:`repro.parallel.vmpi.membership`).  Ignored by the thread
+        backend.
 
     Returns
     -------
@@ -160,19 +156,6 @@ def run_spmd(
     if fault_plan is None:
         fault_plan = plan_from_env()
     resolved = resolve_backend(backend)
-    if resolved == "process":
-        from repro.parallel.vmpi.process import run_spmd_processes
-
-        return run_spmd_processes(
-            fn,
-            n_ranks,
-            *args,
-            timeout=timeout,
-            fault_plan=fault_plan,
-            max_respawns=max_respawns,
-            elastic=elastic,
-            **kwargs,
-        )
     if resolved == "socket":
         from repro.parallel.vmpi.sockets import run_spmd_sockets
 

@@ -1,10 +1,10 @@
-"""Shared-memory pickle envelopes for the process-backed vMPI fabric.
+"""Shared-memory pickle envelopes for the socket-backed vMPI fabric.
 
-The process backend moves point coordinates, message payloads, and
+The socket backend moves point coordinates, message payloads, and
 factor payloads between rank processes.  Shipping a multi-megabyte
-``ndarray`` through a ``multiprocessing.Queue`` pays a pickle of the
-*data* through a pipe (a copy into the feeder thread, a copy through
-the kernel, a copy out).  Instead we use pickle protocol 5's
+``ndarray`` through a socket pays a pickle of the *data* through the
+kernel (a copy into the frame, a copy through the socket, a copy out).
+Instead we use pickle protocol 5's
 out-of-band buffers: :func:`pack` pickles only the object *structure*
 and diverts every large contiguous buffer (numpy array data, ``bytes``)
 into a named ``multiprocessing.shared_memory`` segment, producing a
@@ -16,7 +16,7 @@ slots::
 
 Buffers smaller than ``threshold`` stay inline (a shared-memory segment
 costs a file descriptor and a syscall; tiny headers are cheaper in the
-pipe).  :func:`unpack` re-attaches each segment, copies the bytes out,
+frame).  :func:`unpack` re-attaches each segment, copies the bytes out,
 and closes it immediately — receivers never hold segment handles, so
 lifetime management stays with whoever calls :func:`free` (or passes
 ``unlink=True`` for single-consumer transfers).
@@ -32,9 +32,9 @@ so a child-create + supervisor-attach pair registers the *same* name
 twice into the tracker's per-type set — and the second unregister makes
 the daemon print a KeyError traceback.  We therefore suppress tracker
 registration entirely (construction under :func:`_untracked`) and
-manage segment lifetime explicitly: the router log owns message
-segments, results/task payloads are unlinked by their single consumer,
-and :func:`free` handles the rest.
+manage segment lifetime explicitly: the supervisor's message log owns
+message segments, results are unlinked by their single consumer, and
+:func:`free` handles the rest.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def pack(obj, threshold: int = DEFAULT_THRESHOLD) -> dict:
 
     Every pickle-5 out-of-band buffer of at least ``threshold`` bytes is
     copied into its own shared-memory segment; the envelope itself stays
-    small enough to travel through a queue.  The caller owns the
+    small enough to travel in a socket frame.  The caller owns the
     segments: pass the envelope to :func:`unpack` (``unlink=True`` for
     the last consumer) or :func:`free` it.
     """

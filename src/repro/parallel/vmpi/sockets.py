@@ -1,14 +1,14 @@
 """Socket-transport SPMD execution: ranks over TCP with heartbeats.
 
-Third fabric backend (after threads and ``multiprocessing`` queues):
-each virtual rank is still a spawned worker process, but every frame —
+The multi-core fabric backend (the thread backend is the other one):
+each virtual rank is a spawned worker process, and every frame —
 posts, checkpoints, heartbeats, status reports — travels over one TCP
-connection per rank to a supervisor-side router.  The payloads are the
-same pickle-5 envelopes the process backend ships
-(:mod:`repro.parallel.vmpi.shm`): buffers ride shared memory when the
-rank shares the supervisor's host and go inline over the wire when its
-assigned host is remote, so a single code path covers both the
-multi-core-one-box and the multi-box deployment shapes.
+connection per rank to a supervisor-side router.  Payloads are
+pickle-5 envelopes (:mod:`repro.parallel.vmpi.shm`): buffers ride
+shared memory when the rank shares the supervisor's host and go inline
+over the wire when its assigned host is remote, so a single code path
+covers both the multi-core-one-box and the multi-box deployment
+shapes.
 
 Topology::
 
@@ -22,21 +22,20 @@ Topology::
         ("msg", key, envelope)          routed delivery
         ("abort", err)                  peer failed; unwind
 
-The supervisor keeps the same pessimistic message log as the other two
-backends (append every post, forward to the destination's connection,
+The supervisor keeps the same pessimistic message log as the thread
+fabric (append every post, forward to the destination's connection,
 sender-side dedup on replay), so the seeded
 :class:`~repro.parallel.vmpi.faults.FaultPlan` classifies identical
 ``(key, seq, attempt)`` tuples and chaos schedules are *identical*
-across thread/process/socket — the backend-parity suite asserts
-bitwise-equal results, faults included.
+across thread/socket — the backend-parity suite asserts bitwise-equal
+results, faults included.
 
-What sockets add over the process backend is an **elastic membership
-layer** (:mod:`repro.parallel.vmpi.membership`):
+On top of that sits an **elastic membership layer**
+(:mod:`repro.parallel.vmpi.membership`):
 
 * every rank heartbeats; a supervisor-side failure detector promotes
   silence to *suspected* and then *confirmed dead* — catching hangs
-  and partitions that never report a crash (the process backend can
-  only see exit codes);
+  and partitions that never report a crash (exit codes alone cannot);
 * a confirmed death first tries the usual log-replay respawn; when the
   respawn budget is exhausted and the launch is *elastic*, the rank is
   declared permanently lost: the membership epoch is bumped, frames
@@ -49,14 +48,14 @@ layer** (:mod:`repro.parallel.vmpi.membership`):
 
 TCP ordering is load-bearing: one connection per rank means a rank's
 status frame is ordered after every post it made, so replay arming
-needs no sync sentinel, and a survivor's checkpoint is always routed
+needs no extra barrier, and a survivor's checkpoint is always routed
 before its terminal status.
 
 Remote hosts: ``hosts=[...]`` (or ``REPRO_VMPI_HOSTS``) assigns ranks
-round-robin.  Workers are always *spawned* locally — this repo has no
-launcher agent — but a rank assigned a non-local host honestly uses
-the remote transport shape: all-inline envelopes, nothing through
-shared memory.
+round-robin.  Workers are always *spawned* locally (``"spawn"`` start
+method) — this repo has no launcher agent — but a rank assigned a
+non-local host honestly uses the remote transport shape: all-inline
+envelopes, nothing through shared memory.
 """
 
 from __future__ import annotations
@@ -91,11 +90,6 @@ from repro.parallel.vmpi.membership import (
     hosts_from_env,
     port_from_env,
 )
-from repro.parallel.vmpi.process import (
-    _ABORT_GRACE,
-    _DEATH_GRACE,
-    _resolve_start_method,
-)
 
 __all__ = ["SocketRankFabric", "run_spmd_sockets"]
 
@@ -108,6 +102,13 @@ _INLINE = 1 << 62
 #: how long the supervisor lingers after an elastic hang-loss for the
 #: zombie's stale frames (exercises epoch rejection deterministically).
 _ZOMBIE_LINGER = 3.0
+
+#: grace period between noticing a silently-dead process and declaring
+#: it crashed (its final status frame may still be in flight).
+_DEATH_GRACE = 1.0
+
+#: how long ranks get to notice an abort before being terminated.
+_ABORT_GRACE = 15.0
 
 #: hostnames that resolve to the supervisor's own machine.
 _LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "::1"})
@@ -160,12 +161,14 @@ class _FrameReader:
 class SocketRankFabric:
     """Rank-process side of the fabric over one TCP connection.
 
-    The socket twin of
-    :class:`~repro.parallel.vmpi.process.ProcessRankFabric`: posts are
+    Implements the interface :class:`Communicator` needs (``post`` /
+    ``wait`` / ``retry_policy`` / ``fault_plan`` / ``stats``): posts are
     frames written to the supervisor, receives drain routed ``msg``
     frames off the same socket, and cursors / attempt counters / fault
     classification are rank-local — ``FaultPlan.decide`` is a pure
-    hash, so the chaos schedule matches the other backends exactly.
+    hash, so the chaos schedule matches the thread fabric exactly.  A
+    respawned rank starts with zeroed cursors and the supervisor
+    redelivers its full receive history.
     """
 
     def __init__(
@@ -381,7 +384,7 @@ def _socket_worker_main(
         return
     hb_stop.set()
     # same-connection FIFO orders this after every post we made, so the
-    # supervisor needs no sync sentinel before arming replay.
+    # supervisor needs no extra barrier before arming replay.
     try:
         _send_frame(
             sock,
@@ -441,12 +444,11 @@ def run_spmd_sockets(
     elastic: bool = False,
     hosts: list[str] | None = None,
     heartbeat: HeartbeatConfig | None = None,
-    start_method: str | None = None,
     **kwargs,
 ):
     """Socket-backend twin of :func:`repro.parallel.vmpi.run_spmd`.
 
-    Same contract as the other backends — returns ``(results, stats)``,
+    Same contract as the thread backend — returns ``(results, stats)``,
     raises ``RuntimeError("virtual rank r failed: ...")`` on rank
     failure, recovers injected crashes by respawn-with-replay — plus
     the elastic extras:
@@ -465,7 +467,7 @@ def run_spmd_sockets(
     from repro.resilience.deadline import current_deadline
     from repro.util.flops import current_counter
 
-    ctx = mp.get_context(_resolve_start_method(start_method))
+    ctx = mp.get_context("spawn")
     hb = heartbeat if heartbeat is not None else heartbeat_config_from_env()
     if hosts is None:
         hosts = hosts_from_env()
@@ -544,8 +546,9 @@ def run_spmd_sockets(
             conn = conns.get(dw)
             if conn is not None:
                 conn.send(("msg", key, env))
-            # conn is None while a respawn is pending: the message is
-            # logged, and hello-time replay will deliver it in order.
+            # conn is None until the rank (or its respawn) connects:
+            # the message is logged, and hello-time replay delivers it
+            # in order.
 
     def _read_loop(conn: _Conn) -> None:
         while True:
@@ -607,13 +610,14 @@ def run_spmd_sockets(
                     conn.close()
                     continue
                 conns[rank] = conn
-                if gen > 0:
-                    # replay the rank's full receive history, in log
-                    # order, before any new forwards (same lock).
-                    for key, (_sw, dw) in key_world.items():
-                        if dw == rank:
-                            for env in logs[key]:
-                                conn.send(("msg", key, env))
+                # deliver everything logged for this rank so far, in log
+                # order, before any new forwards (same lock): a respawn's
+                # full receive history, or — first generation — the
+                # posts peers made before this rank connected.
+                for key, (_sw, dw) in key_world.items():
+                    if dw == rank:
+                        for env in logs[key]:
+                            conn.send(("msg", key, env))
             with detector_lock:
                 detector.resurrect(rank)
             threading.Thread(

@@ -256,6 +256,24 @@ class HierarchicalFactorization:
             else:
                 factor.phat = self._phat_telescoped(node, factor, phat_l, phat_r)
 
+    def _factor_node(self, node: Node) -> None:
+        """Factor one node; a breakdown takes recovery rung 1 if armed.
+
+        Rung 1 bumps lambda on the offending subtree's diagonal blocks
+        and re-factorizes just that subtree (its children are already
+        factored).  Exhaustion re-raises for robust_factorize's higher
+        rungs.
+        """
+        try:
+            if self.hmatrix.tree.is_leaf(node):
+                self._factor_leaf(node)
+            else:
+                self._factor_internal(node)
+        except StabilityError:
+            if not self.config.recovery.enabled:
+                raise
+            self._recover_node(node)
+
     # ------------------------------------------------------------------
     # level-synchronous batched construction (repro.perf.levelbatch)
     # ------------------------------------------------------------------
@@ -265,7 +283,6 @@ class HierarchicalFactorization:
         level: int,
         policy: levelbatch.BatchPolicy,
         deadline,
-        factor_one,
     ) -> None:
         """Factor one tree level with shape-batched stacked numerics.
 
@@ -273,7 +290,7 @@ class HierarchicalFactorization:
         per-node loop) before any numerics run, so a deadline trips at
         the level boundary instead of mid-stack.  Nodes in groups too
         small or ragged to batch — and nodes whose ``V`` blocks the
-        cache policy keeps matrix-free — go through ``factor_one``
+        cache policy keeps matrix-free — go through ``_factor_node``
         unchanged.  Broken-down nodes are collected and re-run through
         the recovery ladder afterwards, in node order; the recovered
         subtrees are disjoint, so deferral is value-identical to the
@@ -301,7 +318,7 @@ class HierarchicalFactorization:
         registry().counter("levelbatch.nodes").inc(len(nodes) - len(pernode))
         registry().counter("levelbatch.fallback").inc(len(pernode))
         for node in pernode:
-            factor_one(node)
+            self._factor_node(node)
         for node, exc in broken:
             if not self.config.recovery.enabled:
                 raise exc
@@ -352,7 +369,7 @@ class HierarchicalFactorization:
                 self._leaf_anorms[leaf.id] = float(anorms[i])
             phat = None
             if s >= 0:
-                # F-sliced right-hand sides let dgesv solve in place.
+                # F-sliced right-hand sides let dgetrs solve in place.
                 P = np.empty((g, s, m)).transpose(0, 2, 1)
                 for i, leaf in enumerate(members):
                     P[i] = sset[leaf.id].proj.T
@@ -483,7 +500,7 @@ class HierarchicalFactorization:
             y = None
             if s_a >= 0:
                 # eq. (10) telescoping, one stacked GEMM per step; the
-                # reduced solve fuses with the LU below (one dgesv pass).
+                # reduced solve fuses with the LU below (one locked pass).
                 projT_l = np.empty((g, s_l, s_a))
                 projT_r = np.empty((g, s_r, s_a))
                 for i, node in enumerate(members):
@@ -1334,24 +1351,8 @@ def factorize(
         partial_sink.append(fact)
     tree = hmatrix.tree
 
-    recover = config.recovery.enabled
-
-    def factor_one(node: Node) -> None:
-        try:
-            if tree.is_leaf(node):
-                fact._factor_leaf(node)
-            else:
-                fact._factor_internal(node)
-        except StabilityError:
-            if not recover:
-                raise
-            # rung 1: bump lambda on the offending subtree's diagonal
-            # blocks and re-factorize just that subtree.  Exhaustion
-            # re-raises for robust_factorize's higher rungs.
-            fact._recover_node(node)
-
     if tree.depth == 0:
-        factor_one(tree.root)
+        fact._factor_node(tree.root)
         fact.completed_levels.add(0)
         fact._factored = True
         fact.stability.warn_if_unstable()
@@ -1389,13 +1390,12 @@ def factorize(
                     level,
                     fact._batch_policy,
                     deadline,
-                    factor_one,
                 )
             else:
                 for node in todo:
                     if deadline is not None:
                         deadline.charge(1, f"factorize.node({node.id})")
-                    factor_one(node)
+                    fact._factor_node(node)
         if restored:
             fact.nodes_resumed += len(restored)
             # restores and computes interleave out of node order; restore

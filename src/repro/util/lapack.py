@@ -126,13 +126,15 @@ def lu_factor_solve_batched(
     overwrite_a: bool = False,
     overwrite_b: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused LU-factor-and-solve of a stack: one ``dgesv`` per slice.
+    """LU-factor a stack and solve against it under one lock acquisition.
 
     Returns ``(lu, piv, x)`` bitwise identical to
-    :func:`lu_factor_batched` followed by :func:`lu_solve_batched`
-    (``dgesv`` runs the same ``dgetrf`` + ``dgetrs`` internally) with
-    half the wrapper dispatches.  Layout and overwrite semantics match
-    the unfused pair.
+    :func:`lu_factor_batched` followed by :func:`lu_solve_batched`: each
+    slice runs ``dgetrf`` then ``dgetrs``, the routines the per-node
+    :func:`lu_factor` / :func:`lu_solve` dispatch to.  (The fused
+    ``dgesv`` is not used: with more than one OpenBLAS thread its LU can
+    differ from ``dgetrf``'s in the last bit.)  Layout and overwrite
+    semantics match the unfused pair.
     """
     b, n = A.shape[0], A.shape[-1]
     k = B.shape[-1]
@@ -155,16 +157,13 @@ def lu_factor_solve_batched(
             np.copyto(x, B)
     if n == 0:
         return lu, piv, x
-    if k == 0:
-        getrf = scipy.linalg.lapack.dgetrf
-        with _LOCK:
-            for i in range(b):
-                _, piv[i], _ = getrf(lu[i], overwrite_a=1)
-        return lu, piv, x
-    gesv = scipy.linalg.lapack.dgesv
+    getrf = scipy.linalg.lapack.dgetrf
+    getrs = scipy.linalg.lapack.dgetrs
     with _LOCK:
         for i in range(b):
-            _, piv[i], _, _ = gesv(lu[i], x[i], overwrite_a=1, overwrite_b=1)
+            _, piv[i], _ = getrf(lu[i], overwrite_a=1)
+            if k:
+                getrs(lu[i], piv[i], x[i], overwrite_b=1)
     return lu, piv, x
 
 

@@ -3,9 +3,9 @@
 Tentpole invariants of the socket backend (docs/PARALLELISM.md):
 
 * ``run_spmd(..., backend="socket")`` — spawned workers over a TCP
-  control plane — is *bitwise interchangeable* with the thread and
-  process backends, fault-free and under seeded chaos (the FaultPlan
-  hash is pure, so all three backends see the same schedule);
+  control plane — is *bitwise interchangeable* with the thread
+  backend, fault-free and under seeded chaos (the FaultPlan hash is
+  pure, so both backends see the same schedule);
 * a hung rank is detected by the heartbeat failure detector
   (suspected, then confirmed dead) instead of stalling the launch;
 * with ``elastic=True`` a *permanent* rank loss repartitions the
@@ -13,7 +13,7 @@ Tentpole invariants of the socket backend (docs/PARALLELISM.md):
   checkpoints, and the result matches the fault-free run to 1e-10.
 
 All SPMD functions here are module-level: the socket backend pickles
-the program for spawn, same contract as the process backend.
+the program for spawn, so closures are rejected (covered below too).
 """
 
 import numpy as np
@@ -50,6 +50,39 @@ def ring_prog(comm, base):
     return comm.allreduce(float(y.sum()))
 
 
+def failing_prog(comm):
+    raise ValueError(f"boom from rank {comm.rank}")
+
+
+def apply_prog(comm, f):
+    """Apply a caller-supplied function on every rank."""
+    return f(float(comm.rank))
+
+
+def cache_publish_prog(comm):
+    """Publish to the default BlockCache inside a worker process."""
+    from repro.perf import default_cache
+
+    cache = default_cache()
+    key = ("test", "spawn", comm.rank)
+    cache.put(key, np.ones((64, 64)))
+    hit = cache.fetch(key)
+    stats = cache.stats()
+    return {
+        "got_back": hit is not None,
+        "hits": stats.hits,
+        "lookups": stats.lookups,
+    }
+
+
+def metrics_prog(comm):
+    """Increment a counter in the child; shipped back and merged."""
+    from repro.obs.metrics import registry
+
+    registry().counter("test.child_work").inc(comm.rank + 1)
+    return comm.rank
+
+
 def checkpoint_prog(comm, rounds):
     """Exchange + checkpoint each round; traffic counters must ignore
     the control-plane checkpoint frames."""
@@ -78,7 +111,7 @@ def problem():
 
 
 # ----------------------------------------------------------------------
-# tentpole: socket parity with thread and process
+# tentpole: socket parity with thread
 # ----------------------------------------------------------------------
 
 class TestSocketParity:
@@ -101,6 +134,24 @@ class TestSocketParity:
         h, _ = problem
         ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
         assert all(s.local.hmatrix is h for s in ds.states)
+
+    def test_factor_payloads_bitwise_identical(self, problem):
+        h, _ = problem
+        dt = distributed_factorize(h, 0.7, n_ranks=2, backend="thread")
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        for st, ss in zip(dt.states, ds.states):
+            for nid, lf in st.local.leaf_factors.items():
+                assert np.array_equal(lf.lu[0], ss.local.leaf_factors[nid].lu[0])
+                assert np.array_equal(lf.phat, ss.local.leaf_factors[nid].phat)
+
+    def test_env_backend_selects_socket(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VMPI_BACKEND", "socket")
+        rs, _ = run_spmd(ring_prog, 2, 1.0)
+        rt, _ = run_spmd(ring_prog, 2, 1.0, backend="thread")
+        assert rs == rt
+        # the environment really picked spawned ranks: closures cannot cross.
+        with pytest.raises(ConfigurationError, match="module-level"):
+            run_spmd(lambda comm: None, 2)
 
     def test_parity_under_chaos(self, problem):
         h, u = problem
@@ -145,6 +196,142 @@ class TestSocketParity:
 
         with pytest.raises(ConfigurationError, match="module-level"):
             run_spmd(closure_prog, 2, backend="socket")
+
+    def test_closure_arguments_rejected_with_guidance(self):
+        offset = 3.0
+
+        def shift(x):
+            return x + offset
+
+        # threads share the closure; spawned ranks would have to pickle it.
+        rt, _ = run_spmd(apply_prog, 2, shift, backend="thread")
+        assert rt == [3.0, 4.0]
+        with pytest.raises(ConfigurationError, match="module-level"):
+            run_spmd(apply_prog, 2, shift, backend="socket")
+
+    def test_run_spmd_error_message_parity(self):
+        with pytest.raises(RuntimeError, match="rank 0 failed"):
+            run_spmd(failing_prog, 2, backend="socket")
+
+
+class TestFourRankParity:
+    """Thread parity at four spawned ranks: the distributed phase spans
+    log2(4) = 2 tree levels instead of one."""
+
+    @pytest.fixture(scope="class")
+    def factorized(self, problem):
+        h, _ = problem
+        dt = distributed_factorize(h, 0.7, n_ranks=4, backend="thread")
+        ds = distributed_factorize(h, 0.7, n_ranks=4, backend="socket")
+        return dt, ds
+
+    def test_spmd_results_and_stats_match(self):
+        rt, st = run_spmd(ring_prog, 4, 5.0, backend="thread")
+        rs, ss = run_spmd(ring_prog, 4, 5.0, backend="socket")
+        assert rt == rs
+        assert (st.messages, st.bytes) == (ss.messages, ss.bytes)
+
+    def test_distributed_solve_bitwise_identical(self, problem, factorized):
+        _, u = problem
+        dt, ds = factorized
+        assert ds.backend == "socket" and ds.n_ranks == 4
+        wt, _ = distributed_solve(dt, u)
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+
+    def test_states_share_callers_hmatrix(self, problem, factorized):
+        h, _ = problem
+        _, ds = factorized
+        assert len(ds.states) == 4
+        assert all(s.local.hmatrix is h for s in ds.states)
+
+    def test_parity_under_chaos(self, problem):
+        h, u = problem
+        plan = lambda: FaultPlan(  # noqa: E731 - two identical plans
+            seed=9, drop_rate=0.05, corrupt_rate=0.025, delay_rate=0.0125
+        )
+        dt = distributed_factorize(
+            h, 0.7, n_ranks=4, fault_plan=plan(), backend="thread"
+        )
+        wt, _ = distributed_solve(dt, u)
+        ds = distributed_factorize(
+            h, 0.7, n_ranks=4, fault_plan=plan(), backend="socket"
+        )
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+        assert ds.factor_stats.drops == dt.factor_stats.drops
+        assert ds.factor_stats.corruptions == dt.factor_stats.corruptions
+        assert ds.factor_stats.retries == dt.factor_stats.retries
+
+    def test_root_rank_crash_respawn(self, problem):
+        h, u = problem
+        dt = distributed_factorize(h, 0.7, n_ranks=4, backend="thread")
+        wt, _ = distributed_solve(dt, u)
+        ds = distributed_factorize(
+            h,
+            0.7,
+            n_ranks=4,
+            fault_plan=FaultPlan(seed=5, crash_rank=0, crash_op=4),
+            backend="socket",
+        )
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+        assert ds.factor_stats.crashes == 1
+        assert ds.factor_stats.respawns == 1
+        assert ds.factor_stats.rank_recoveries[0]["rank"] == 0
+
+
+class _LateRankOneContext:
+    """``spawn`` context whose rank-1 worker starts a few seconds late,
+    so rank 0 posts to rank 1 before rank 1's connection exists."""
+
+    def __init__(self, delay: float) -> None:
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("spawn")
+        self._delay = delay
+
+    def get_context(self, method):
+        assert method == "spawn"
+        return self
+
+    def Process(self, *args, name, **kwargs):
+        import time
+
+        if name == "vmpi-sock-rank-1":
+            time.sleep(self._delay)
+        return self._ctx.Process(*args, name=name, **kwargs)
+
+
+class TestLateConnection:
+    def test_posts_before_a_rank_connects_are_delivered(self, monkeypatch):
+        from repro.parallel.vmpi import sockets
+
+        monkeypatch.setattr(sockets, "mp", _LateRankOneContext(delay=4.0))
+        rt, _ = run_spmd(ring_prog, 2, 5.0, backend="thread")
+        rs, _ = run_spmd(ring_prog, 2, 5.0, backend="socket", timeout=20.0)
+        assert rs == rt
+
+
+# ----------------------------------------------------------------------
+# process-wide singletons inside spawned ranks
+# ----------------------------------------------------------------------
+
+class TestSpawnSafety:
+    def test_blockcache_publish_after_spawn(self):
+        results, _ = run_spmd(cache_publish_prog, 2, backend="socket")
+        for r in results:
+            assert r["got_back"]
+            # child stats start from zero: exactly this worker's traffic.
+            assert r["lookups"] == 1 and r["hits"] == 1
+
+    def test_metrics_merge_from_children(self):
+        from repro.obs.metrics import registry
+
+        before = registry().total("test.child_work")
+        run_spmd(metrics_prog, 2, backend="socket")
+        # ranks 0 and 1 incremented by 1 and 2 respectively.
+        assert registry().total("test.child_work") == before + 3.0
 
 
 # ----------------------------------------------------------------------

@@ -170,6 +170,41 @@ class TestParallelExecution:
         u = RNG.standard_normal(20)
         assert fact.residual(u, fact.solve(u)) < 1e-12
 
+    def test_recovery_ladder_matches_serial(self):
+        """A near-singular problem at lambda = 0: node tasks take the
+        same lambda bumps as the serial factorization, bit for bit, on
+        more workers than cores and with frequent thread switches."""
+        import sys
+        import warnings
+
+        from repro.config import RecoveryConfig
+
+        X = np.random.default_rng(0).standard_normal((256, 3))
+        h = build_hmatrix(
+            X,
+            GaussianKernel(bandwidth=8.0),
+            tree_config=TreeConfig(leaf_size=32),
+            skeleton_config=SkeletonConfig(rank=16),
+        )
+        cfg = SolverConfig(recovery=RecoveryConfig(enabled=True))
+        u = RNG.standard_normal(256)
+        by_node = lambda f: sorted(  # noqa: E731
+            (e["node_id"], e["attempts"]) for e in f.recovery_events
+        )
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                serial = factorize(h, 0.0, cfg)
+                assert serial.recovery_events
+                for _ in range(3):
+                    parallel = execute_factorization(h, 0.0, cfg, n_workers=8)
+                    assert by_node(parallel) == by_node(serial)
+                    assert np.array_equal(parallel.solve(u), serial.solve(u))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_propagates_task_errors(self, dag_problem):
         h, _ = dag_problem
         # negative lambda passes factorize()'s entry check only through
@@ -188,8 +223,5 @@ class TestParallelExecution:
         bad.cache.put(
             (bad._ns, "leaf", leaf.id), np.full((leaf.size, leaf.size), np.nan)
         )
-        # thread backend: the poisoned cache entry is process-local state
-        # and would not be visible to spawned workers (a pickled cache
-        # ships only its configuration, never its contents).
         with pytest.raises(Exception):
-            execute_factorization(bad, 0.5, n_workers=2, backend="thread")
+            execute_factorization(bad, 0.5, n_workers=2)

@@ -3,7 +3,7 @@
 An incrementally updated model must be indistinguishable from a
 from-scratch rebuild no matter how the downstream factorization runs:
 serial, level-batched or per-node (``REPRO_LEVEL_BATCH``), and
-distributed over the thread / process / socket vMPI backends — with and
+distributed over the thread / socket vMPI backends — with and
 without seeded chaos on the wire.
 """
 
@@ -67,7 +67,7 @@ def dist_solve_user_order(dist, u, tree):
 
 
 class TestDistributedBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process", "socket"])
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
     def test_backend_parity_after_update(self, updated, data, backend):
         solver, fresh, = updated
         _, _, u = data
