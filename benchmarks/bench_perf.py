@@ -1,19 +1,15 @@
 #!/usr/bin/env python
-"""Perf-layer benchmark: batched BLAS-3 solves + block cache vs seed path.
+"""Perf-layer benchmark: batched BLAS-3 solves + block cache.
 
 Measures factorize + multi-RHS solve (k right-hand sides) wall time for
-the level-restricted hybrid solver in two configurations over the same
-problem:
+the level-restricted hybrid solver in its ``optimized`` configuration:
+process-wide :class:`BlockCache` (shared leaf/sibling/frontier/pair
+blocks, perfmodel store policy), tree-wide squared-norm tables, and
+lockstep block GMRES (one (N, k) panel matvec per iteration).
 
-* ``optimized`` — this PR's defaults: process-wide :class:`BlockCache`
-  (shared leaf/sibling/frontier/pair blocks, perfmodel store policy),
-  tree-wide squared-norm tables, and ``batch_rhs=True`` (lockstep block
-  GMRES, one (N, k) panel matvec per iteration);
-* ``seed`` — ``batch_rhs=False``: the original column-by-column reduced
-  solve (k separate GMRES runs, one GEMV-shaped matvec per iteration).
-
-Emits ``BENCH_perf.json`` with wall times, block-cache hit rate, peak
-persistent storage words, and the speedup ratio per problem size.
+Emits ``BENCH_perf.json`` with wall times, the reduced GMRES iteration
+count, block-cache hit rate, and peak persistent storage words per
+problem size.
 
 With ``--parallel`` the benchmark instead measures the vMPI *backend
 axis* (docs/PARALLELISM.md): distributed factorize + solve on the
@@ -28,9 +24,10 @@ win back).
 
 With ``--level-batch-compare`` it instead measures the *level-batching
 axis* (docs/PERFORMANCE.md): factorization wall time of the nlogn direct
-method with ``SolverConfig.level_batch`` on vs off over the same
-skeletonized H-matrix, asserting the solutions are bitwise identical,
-and writes ``BENCH_levelbatch.json``.
+method with the batch policy's shape groups vs every node run as a group
+of one (``BatchPolicy.worth`` patched to decline every group) over the
+same skeletonized H-matrix, asserting the solutions and log-determinants
+are bitwise identical, and writes ``BENCH_levelbatch.json``.
 
 With ``--update-compare`` it instead measures the *incremental-update
 axis* (docs/UPDATES.md): (a) inserting 1% clustered points via
@@ -91,7 +88,7 @@ def make_problem(n: int, seed: int = 2017):
     return X, kernel, gen
 
 
-def run_variant(X, kernel, B, *, batch_rhs: bool, level_restriction: int):
+def run_variant(X, kernel, B, *, level_restriction: int):
     """Fresh cache + fresh H-matrix; timed factorize + solve."""
     cache = configure_default_cache()  # unbounded, empty
     h = build_hmatrix(
@@ -107,11 +104,7 @@ def run_variant(X, kernel, B, *, batch_rhs: bool, level_restriction: int):
             seed=1,
         ),
     )
-    cfg = SolverConfig(
-        method="hybrid",
-        gmres=GMRESConfig(tol=1e-10, max_iters=300),
-        batch_rhs=batch_rhs,
-    )
+    cfg = SolverConfig(method="hybrid", gmres=GMRESConfig(tol=1e-10, max_iters=300))
     t0 = time.perf_counter()
     fact = factorize(h, 0.5, cfg)
     t_factorize = time.perf_counter() - t0
@@ -123,7 +116,6 @@ def run_variant(X, kernel, B, *, batch_rhs: bool, level_restriction: int):
     stats = cache.stats()
     residual = float(fact.residual(B[:, 0], W[:, 0]))
     return {
-        "batch_rhs": batch_rhs,
         "factorize_s": t_factorize,
         "solve_s": t_solve,
         "total_s": t_factorize + t_solve,
@@ -141,20 +133,11 @@ def run_variant(X, kernel, B, *, batch_rhs: bool, level_restriction: int):
 def bench_size(n: int, k: int, level_restriction: int) -> dict:
     X, kernel, gen = make_problem(n)
     B = gen.standard_normal((n, k))
-    opt = run_variant(
-        X, kernel, B, batch_rhs=True, level_restriction=level_restriction
-    )
-    seed = run_variant(
-        X, kernel, B, batch_rhs=False, level_restriction=level_restriction
-    )
     return {
         "n": n,
         "k": k,
         "level_restriction": level_restriction,
-        "optimized": opt,
-        "seed_path": seed,
-        "speedup_total": seed["total_s"] / max(opt["total_s"], 1e-12),
-        "speedup_solve": seed["solve_s"] / max(opt["solve_s"], 1e-12),
+        "optimized": run_variant(X, kernel, B, level_restriction=level_restriction),
     }
 
 
@@ -216,18 +199,22 @@ def bench_parallel_size(n: int, n_ranks: int) -> dict:
 
 
 def bench_levelbatch_size(n: int, repeats: int = 7) -> dict:
-    """Factorize wall time, level-batched vs per-node, same H-matrix.
+    """Factorize wall time, policy groups vs groups of one, same H-matrix.
 
-    Tree/skeleton construction is excluded from the timing (both paths
+    Tree/skeleton construction is excluded from the timing (both runs
     share one skeletonized H-matrix and a warm block cache), so the
-    ratio isolates the factorization loops the batching restructures.
+    ratio isolates what grouping a level buys: both runs execute the
+    same stacked numerics, the second with every node as its own group.
     A fixed skeleton rank keeps the level shape groups uniform — the
     paper's regime, where every node of a level does the same-shaped
     work — and the small leaf size puts the tree in the many-small-nodes
     regime the batching targets: hundreds of sub-50 LU/GEMM calls per
     level, where per-node dispatch overhead rivals the arithmetic.
-    Bitwise solution parity is asserted, not assumed.
+    Bitwise solution parity is asserted, not assumed; log-determinant
+    parity is recorded (``slogdet_identical``, which CI asserts).
     """
+    from repro.perf.levelbatch import BatchPolicy
+
     X, kernel, gen = make_problem(n)
     u = gen.standard_normal(n)
     configure_default_cache()
@@ -240,8 +227,8 @@ def bench_levelbatch_size(n: int, repeats: int = 7) -> dict:
         ),
     )
 
-    def run(level_batch: bool):
-        cfg = SolverConfig(method="nlogn", level_batch=level_batch)
+    def run():
+        cfg = SolverConfig(method="nlogn")
         best = float("inf")
         fact = None
         for _ in range(repeats):
@@ -250,22 +237,27 @@ def bench_levelbatch_size(n: int, repeats: int = 7) -> dict:
             best = min(best, time.perf_counter() - t0)
         return fact, best
 
-    fact_off, t_off = run(False)
-    fact_on, t_on = run(True)
+    worth = BatchPolicy.worth
+    BatchPolicy.worth = lambda self, *args, **kwargs: False
+    try:
+        fact_off, t_off = run()
+    finally:
+        BatchPolicy.worth = worth
+    fact_on, t_on = run()
     w_off = fact_off.solve(u)
     w_on = fact_on.solve(u)
     bitwise = bool(np.array_equal(w_on, w_off))
     if not bitwise:
         raise AssertionError(
-            f"level-batch parity violated at n={n}: batched and per-node "
-            "solutions differ bitwise"
+            f"level-batch parity violated at n={n}: grouped and "
+            "groups-of-one solutions differ bitwise"
         )
     sd_on, sd_off = fact_on.slogdet(), fact_off.slogdet()
     return {
         "n": n,
         "repeats": repeats,
         "batched_factorize_s": t_on,
-        "pernode_factorize_s": t_off,
+        "groups_of_one_factorize_s": t_off,
         "speedup_factorize": t_off / max(t_on, 1e-12),
         "bitwise_identical": bitwise,
         "slogdet_identical": bool(sd_on == sd_off),
@@ -431,7 +423,7 @@ def run_levelbatch_bench(args) -> int:
         runs.append(run)
         print(
             f"  batched {run['batched_factorize_s']:.4f}s  "
-            f"per-node {run['pernode_factorize_s']:.4f}s  "
+            f"groups of one {run['groups_of_one_factorize_s']:.4f}s  "
             f"speedup {run['speedup_factorize']:.2f}x  "
             f"bitwise={run['bitwise_identical']}",
             flush=True,
@@ -441,7 +433,7 @@ def run_levelbatch_bench(args) -> int:
 
     spec = probed_machine()
     payload = {
-        "benchmark": "level_batched_vs_pernode_factorization",
+        "benchmark": "level_batched_vs_groups_of_one_factorization",
         "method": "nlogn direct, fixed rank 12, leaf 16",
         "kernel": "gaussian(h=1.0), 3-D standard normal points",
         "machine": {
@@ -545,8 +537,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--level-batch-compare", action="store_true",
-        help="benchmark level-batched vs per-node factorization "
-             "instead; writes BENCH_levelbatch.json",
+        help="benchmark the policy's level groups vs every node as a "
+             "group of one instead; writes BENCH_levelbatch.json",
     )
     parser.add_argument(
         "--update-compare", action="store_true",
@@ -592,8 +584,7 @@ def main(argv=None) -> int:
         runs.append(run)
         print(
             f"  optimized {run['optimized']['total_s']:.3f}s  "
-            f"seed {run['seed_path']['total_s']:.3f}s  "
-            f"speedup {run['speedup_total']:.2f}x  "
+            f"gmres iters {run['optimized']['reduced_gmres_iters']}  "
             f"hit-rate {run['optimized']['cache_hit_rate']:.2f}  "
             f"peak words {run['optimized']['peak_storage_words']}",
             flush=True,
@@ -601,7 +592,7 @@ def main(argv=None) -> int:
 
     telemetry = telemetry_snapshot()
     payload = {
-        "benchmark": "perf_layer_batched_vs_seed",
+        "benchmark": "perf_layer",
         "method": "hybrid",
         "kernel": "gaussian(h=1.0), 3-D standard normal points",
         "runs": runs,

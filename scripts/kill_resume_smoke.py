@@ -6,9 +6,9 @@ version of "the batch scheduler killed the job mid-factorization".
 The parent then resumes from the same directory and checks:
 
 1. the resumed solution matches an uninterrupted run to 1e-12;
-2. only post-checkpoint levels are recomputed (zero leaf
-   factorizations happen during the resume — the leaf level is
-   exactly what the child managed to save).
+2. only post-checkpoint levels are recomputed: the resume charges no
+   leaf LU flops (``factor_leaf_lu``, whatever code factors a leaf) —
+   the leaf level is exactly what the child managed to save.
 
 Run: ``PYTHONPATH=src python scripts/kill_resume_smoke.py``
 """
@@ -102,22 +102,12 @@ def parent() -> int:
 
         # resume: fresh solver, same directory; the saved (deepest =
         # leaf) level must be restored, not recomputed.
-        from repro.solvers.factorization import HierarchicalFactorization
+        from repro.util.flops import FlopCounter
 
-        fresh_leaf_count = 0
-        orig_leaf = HierarchicalFactorization._factor_leaf
-
-        def counting_leaf(self, node):
-            nonlocal fresh_leaf_count
-            fresh_leaf_count += 1
-            return orig_leaf(self, node)
-
-        HierarchicalFactorization._factor_leaf = counting_leaf
-        try:
-            resumed = make_solver(ckdir).fit(X)
+        resumed = make_solver(ckdir).fit(X)
+        with FlopCounter() as counter:
             resumed.factorize(LAM)
-        finally:
-            HierarchicalFactorization._factor_leaf = orig_leaf
+        leaf_lu_flops = counter.by_label.get("factor_leaf_lu", 0)
         w_resumed = resumed.solve(u)
 
     diff = float(np.max(np.abs(w_resumed - w_base)))
@@ -126,9 +116,9 @@ def parent() -> int:
     if diff > 1e-12 * max(denom, 1.0):
         print("FAIL: resumed solution deviates beyond 1e-12", file=sys.stderr)
         return 1
-    if fresh_leaf_count != 0:
-        print(f"FAIL: resume recomputed {fresh_leaf_count} leaf factors "
-              "that were already checkpointed", file=sys.stderr)
+    if leaf_lu_flops != 0:
+        print(f"FAIL: resume spent {leaf_lu_flops} flops re-factoring "
+              "leaves that were already checkpointed", file=sys.stderr)
         return 1
     print("kill-and-resume smoke OK: identical solution, "
           "checkpointed level not recomputed")

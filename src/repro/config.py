@@ -321,20 +321,6 @@ class SolverConfig:
     #: still O(N log N)).
     storage: str = "full"
 
-    #: process multi-RHS solves as one (N, k) panel: the hybrid reduced
-    #: solve runs a lockstep GMRES (one BLAS-3 matvec per iteration
-    #: instead of k GEMVs).  ``False`` reproduces the original
-    #: column-by-column path.
-    batch_rhs: bool = True
-
-    #: level-synchronous shape-batched numerics: group each tree level's
-    #: same-shaped nodes and issue one stacked GEMM / batched LAPACK call
-    #: per group instead of one call per node (repro.perf.levelbatch).
-    #: Produces bitwise-identical factors; ``REPRO_LEVEL_BATCH=0`` is the
-    #: environment kill switch.  Ignored by the "nlog2n" baseline (its
-    #: recursive solves are node-at-a-time by construction).
-    level_batch: bool = True
-
     #: vMPI execution backend for the distributed paths: "thread"
     #: (shared-memory mailboxes, debuggable), "socket" (true multi-core:
     #: spawned rank processes over TCP + shared-memory transport), or
@@ -360,12 +346,9 @@ class SolverConfig:
     _METHODS = ("nlogn", "nlog2n", "direct", "hybrid")
 
     #: fields that select *how* to execute, not *what* to compute — both
-    #: backends and both batching modes produce bitwise-identical
-    #: factors, so checkpoint fingerprints ignore them (see
-    #: resilience/checkpoint.py).
-    _FINGERPRINT_EXCLUDE = frozenset(
-        {"backend", "level_batch", "update_rebuild_threshold"}
-    )
+    #: backends produce bitwise-identical factors, so checkpoint
+    #: fingerprints ignore them (see resilience/checkpoint.py).
+    _FINGERPRINT_EXCLUDE = frozenset({"backend", "update_rebuild_threshold"})
 
     def __post_init__(self) -> None:
         if self.method not in self._METHODS:

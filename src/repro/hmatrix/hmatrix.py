@@ -199,9 +199,8 @@ class HMatrix:
 
         Batched-cache-fill version of ``KernelSummation._stored()``: one
         stacked kernel evaluation covers the group's cache misses; a
-        ``None`` entry means the cache declined that block and the
-        caller must use its per-node matrix-free path (exactly as a
-        per-node product would).
+        ``None`` entry means the block stays matrix-free and the caller
+        must use its ``matvec`` (exactly as a single product would).
         """
         from repro.perf import levelbatch
 

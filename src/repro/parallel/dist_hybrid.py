@@ -96,18 +96,7 @@ def _hybrid_factor_worker(
 
     # local partial factorization: frontier subtrees inside my slice.
     local = HierarchicalFactorization(h, lam, config)
-    order = []
-    stack = list(my_frontier)
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not tree.is_leaf(node):
-            stack.extend(tree.children(node))
-    for node in sorted(order, key=lambda n: -n.level):
-        if tree.is_leaf(node):
-            local._factor_leaf(node)
-        else:
-            local._factor_internal(node)
+    local._factor_subtrees(my_frontier)
     local._factored = True
 
     state = _HybridRankState(

@@ -149,26 +149,10 @@ def _factor_worker_body(
     # ---- local phase: serial Algorithm II.2 on the owned subtree ------
     # ``resume`` carries checkpointed node factors from a previous,
     # wider launch that lost a rank: nodes a survivor already factored
-    # are restored (idempotent, keyed by node id) and only the lost
-    # subtree — plus the newly-merged roots no old rank owned — is
-    # factorized fresh.
+    # are restored (keyed by node id) and only the lost subtree — plus
+    # the newly-merged roots no old rank owned — is factorized fresh.
     local = HierarchicalFactorization(h, lam, config)
-    stack = [subtree_root]
-    order = []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not tree.is_leaf(node):
-            left, right = tree.children(node)
-            stack.extend((left, right))
-    for node in sorted(order, key=lambda n: -n.level):
-        payload = resume.get(node.id) if resume else None
-        if payload is not None:
-            local.restore_node_payload(payload)
-        elif tree.is_leaf(node):
-            local._factor_leaf(node)
-        else:
-            local._factor_internal(node)
+    local._factor_subtrees([subtree_root], resume_nodes=resume)
     local._factored = True
 
     state = _RankState(
@@ -186,7 +170,10 @@ def _factor_worker_body(
         comm.checkpoint(
             {
                 "subtree_root_id": subtree_root.id,
-                "nodes": [local.export_node_payload(n.id) for n in order],
+                "nodes": [
+                    local.export_node_payload(nid)
+                    for nid in (*local.leaf_factors, *local.node_factors)
+                ],
             }
         )
     if n_levels == 0:

@@ -314,7 +314,7 @@ def execute_factorization(
     fact = HierarchicalFactorization(hmatrix, lam, config)
     tree = hmatrix.tree
     if tree.depth == 0:
-        fact._factor_node(tree.root)
+        fact._factor_level([tree.root])
         fact._factored = True
         return fact
 
@@ -333,10 +333,10 @@ def execute_factorization(
                 if tid == REDUCED_TASK:
                     fact._build_reduced()
                 else:
-                    # a recovery rung re-factors this node's subtree:
-                    # finished, and touched by no other task until this
-                    # one ends.
-                    fact._factor_node(tree.node(tid))
+                    # the level step with one node; a recovery rung
+                    # re-factors this node's subtree: finished, and
+                    # touched by no other task until this one ends.
+                    fact._factor_level([tree.node(tid)])
         except BaseException as exc:  # noqa: BLE001 - propagate to caller
             errors.append(exc)
             done.set()

@@ -27,7 +27,7 @@ from repro.perf.blockcache import (
     default_cache,
     set_default_cache,
 )
-from repro.perf.levelbatch import BatchPolicy, batching_enabled
+from repro.perf.levelbatch import BatchPolicy
 from repro.perf.norms import NormTable
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "BlockInfo",
     "CacheStats",
     "NormTable",
-    "batching_enabled",
     "configure_default_cache",
     "default_cache",
     "set_default_cache",

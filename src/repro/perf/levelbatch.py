@@ -8,7 +8,9 @@ per-node updates into one level-wide BLAS call — this module is that
 idea for the numpy reproduction:
 
 * :func:`group_by_key` — bucket a level's nodes by operand shape,
-  preserving node order inside each bucket;
+  preserving node order inside each bucket; :func:`split_groups` turns
+  the buckets into the groups the numerics run, splitting a bucket the
+  policy declines into groups of one;
 * :func:`stacked_kernel_blocks` — one batched kernel evaluation for a
   ``(b, m, d) x (b, n, d)`` stack of point blocks, replicating the
   per-node evaluation's exact op sequence (bitwise-identical slices);
@@ -16,23 +18,21 @@ idea for the numpy reproduction:
   group of PRECOMPUTED :class:`~repro.kernels.summation.KernelSummation`
   blocks, batch-evaluating the cache misses while honoring the cache's
   admission policy (a declined block returns ``None`` and the caller
-  falls back to the per-node matrix-free path);
+  takes that block's matrix-free path);
 * :class:`BatchPolicy` — the roofline-derived "is this group worth
   stacking" threshold, fed by the probed
   :class:`~repro.perfmodel.MachineSpec` instead of fixed constants.
 
 Batched LU/solve goes through
 :func:`repro.util.lapack.lu_factor_batched` /
-:func:`~repro.util.lapack.lu_solve_batched`, which are bitwise
-identical to the per-node calls — so the level-batched factorization
-produces bit-for-bit the same factors as the per-node path, and the
-flag (``SolverConfig.level_batch`` / ``REPRO_LEVEL_BATCH=0``) is purely
-an execution-strategy switch.
+:func:`~repro.util.lapack.lu_solve_batched`, one ``dgetrf``/``dgetrs``
+per slice.  The factorization has one set of numerics: a group the
+policy declines runs as groups of one through the same stacked code,
+so a node's factors never depend on how its level was grouped.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
@@ -46,22 +46,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BatchPolicy",
-    "batching_enabled",
     "group_by_key",
+    "split_groups",
     "partition_resume",
     "stacked_kernel_blocks",
     "one_norms_stacked",
     "materialize_summations",
 ]
-
-
-def batching_enabled() -> bool:
-    """Process-wide kill switch: ``REPRO_LEVEL_BATCH=0`` disables batching."""
-    return os.environ.get("REPRO_LEVEL_BATCH", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
 
 
 @dataclass(frozen=True)
@@ -73,38 +64,24 @@ class BatchPolicy:
     roughly one extra gather + scatter stream of the stacked operands.
     The break-even point therefore depends on the measured dispatch
     overhead and stream bandwidth — :meth:`current` reads both from the
-    probed :class:`~repro.perfmodel.MachineSpec`.
-
-    ``min_batch`` is a hard floor on the group size
-    (``REPRO_LEVEL_BATCH_MIN`` overrides it).
+    probed :class:`~repro.perfmodel.MachineSpec`.  The verdict picks only
+    how a level is grouped, never what a node computes.
     """
 
     dispatch_us: float
     stream_bw_gbs: float
-    min_batch: int = 2
 
     @classmethod
     def current(cls) -> "BatchPolicy":
         from repro.perfmodel.machine import probed_machine
 
         spec = probed_machine()
-        min_batch = 2
-        env = os.environ.get("REPRO_LEVEL_BATCH_MIN")
-        if env:
-            try:
-                min_batch = max(int(env), 1)
-            except ValueError:
-                pass
-        return cls(
-            dispatch_us=spec.dispatch_us,
-            stream_bw_gbs=spec.stream_bw_gbs,
-            min_batch=min_batch,
-        )
+        return cls(dispatch_us=spec.dispatch_us, stream_bw_gbs=spec.stream_bw_gbs)
 
     def worth(self, count: int, item_words: int, calls_saved: int = 6) -> bool:
         """True when stacking ``count`` items of ``item_words`` f64 words
         each (with ``calls_saved`` dispatches amortized per item) wins."""
-        if count < max(self.min_batch, 2):
+        if count < 2:
             return False
         saved = (count - 1) * calls_saved * self.dispatch_us * 1e-6
         extra = 2.0 * count * item_words * 8.0 / (self.stream_bw_gbs * 1e9)
@@ -119,6 +96,26 @@ def group_by_key(
     for i, item in enumerate(items):
         groups.setdefault(key(item), []).append(i)
     return groups
+
+
+def split_groups(
+    items: Sequence,
+    key: Callable[[object], Hashable],
+    worth: Callable[[Hashable, int], bool],
+) -> list[tuple[Hashable, list]]:
+    """``(key, members)`` groups to run for ``items``, in bucket order.
+
+    A :func:`group_by_key` bucket stays whole when ``worth(key, count)``
+    accepts it and is split into groups of one otherwise.
+    """
+    out: list[tuple[Hashable, list]] = []
+    for k, idxs in group_by_key(items, key).items():
+        members = [items[i] for i in idxs]
+        if len(members) > 1 and worth(k, len(members)):
+            out.append((k, members))
+        else:
+            out.extend((k, [member]) for member in members)
+    return out
 
 
 def partition_resume(nodes: Sequence, resume: dict) -> tuple[list, list]:
@@ -186,18 +183,17 @@ def materialize_summations(
     summs: Sequence["KernelSummation"],
 ) -> list[np.ndarray | None]:
     """Dense blocks for a *same-shaped* group of summations, or ``None``
-    where the per-node path would also go matrix-free.
+    where ``matvec`` would go matrix-free.
 
     Mirrors ``KernelSummation._stored()`` exactly — eager blocks are
     returned as-is, cache-backed blocks go through the cache's
-    ``offer`` (same hit/miss/rejection accounting as a per-node
-    product) — except that all cache *misses* in the group are
-    evaluated in one stacked kernel call instead of one call each.
-    Entries whose method is not PRECOMPUTED, or whose block the cache
-    declines, come back ``None``: the caller must fall back to the
-    per-node ``matvec`` for those (its GSKS path is tiled and not
-    bitwise-comparable to a dense product, so the choice must match the
-    per-node path's).
+    ``offer`` (same hit/miss/rejection accounting as one ``matvec``)
+    — except that all cache *misses* in the group are evaluated in one
+    stacked kernel call instead of one call each.  Entries whose method
+    is not PRECOMPUTED, or whose block the cache declines, come back
+    ``None``: the caller must use their ``matvec`` (its GSKS path is
+    tiled and not bitwise-comparable to a dense product, so the choice
+    must match what ``matvec`` would do).
     """
     from repro.kernels.summation import SummationMethod
 
@@ -226,7 +222,7 @@ def materialize_summations(
 
     # one stacked evaluation for the group's actual cache misses (blocks
     # the policy would store); already-cached and policy-declined blocks
-    # are excluded so flop charges match the per-node path exactly.
+    # are excluded so flop charges match per-block evaluation exactly.
     need = [
         i
         for i in pending

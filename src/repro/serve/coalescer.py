@@ -1,8 +1,8 @@
 """Request coalescing: many concurrent single-RHS solves, one batched call.
 
-``BENCH_perf.json`` shows the batched multi-RHS path (one ``(N, k)``
-panel through ``batch_rhs`` / ``gmres_batched``) is 3–5x faster than
-``k`` separate single-RHS solves.  A serving daemon is exactly the
+``BENCH_perf.json`` showed the batched multi-RHS path (one ``(N, k)``
+panel through ``gmres_batched``) 3–5x faster than ``k`` separate
+single-RHS solves.  A serving daemon is exactly the
 workload that can exploit it: many independent clients ask for one
 column each, at the same time, against the same resident model.
 :class:`RequestCoalescer` collects those requests for a small window,

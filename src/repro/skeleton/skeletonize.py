@@ -265,9 +265,13 @@ def skeletonize(
     neighbors: NeighborTable | None = None,
     deadline=None,
     coarsen=None,
-    level_batch: bool = True,
 ) -> SkeletonSet:
     """Run Algorithm II.1 bottom-up over the whole tree.
+
+    A level's same-shaped sample matrices are evaluated in one stacked
+    kernel call when :class:`~repro.perf.levelbatch.BatchPolicy` accepts
+    the group (bitwise identical to per-node evaluation); the
+    interpolative decompositions always run per node.
 
     Parameters
     ----------
@@ -292,16 +296,12 @@ def skeletonize(
         always completes, because every later rung needs skeletons to
         exist.  Without it, an installed deadline raises
         :class:`~repro.exceptions.DeadlineExceededError` between nodes.
-    level_batch:
-        Stack a level's same-shaped sample matrices into one batched
-        kernel evaluation (bitwise identical to per-node evaluation;
-        ``REPRO_LEVEL_BATCH=0`` also disables it).  The interpolative
-        decompositions always run per node.
 
     Returns
     -------
     SkeletonSet
     """
+    from repro.perf.levelbatch import BatchPolicy
     from repro.resilience.deadline import current_deadline
 
     config = config or SkeletonConfig()
@@ -323,12 +323,7 @@ def skeletonize(
     eff = config
     thresholds = list(coarsen.thresholds()) if coarsen is not None else []
 
-    policy = None
-    if level_batch:
-        from repro.perf import levelbatch
-
-        if levelbatch.batching_enabled():
-            policy = levelbatch.BatchPolicy.current()
+    policy = BatchPolicy.current()
 
     for level in range(tree.depth, level_stop - 1, -1):
         if deadline is not None:
@@ -371,11 +366,7 @@ def skeletonize(
                     [sset[left.id].skeleton, sset[right.id].skeleton]
                 )
             worklist.append((node, candidates, sampler.sample(node)))
-        blocks: dict[int, np.ndarray] = {}
-        if policy is not None:
-            blocks = _stacked_sample_blocks(
-                worklist, kernel, tree.points, norms, policy
-            )
+        blocks = _stacked_sample_blocks(worklist, kernel, tree.points, norms, policy)
         for i, (node, candidates, rows) in enumerate(worklist):
             node_skel = skeletonize_node(
                 tree,

@@ -20,6 +20,15 @@ factors, but ``P^_alpha`` is computed by explicitly forming
 (Algorithm II.3 with ``do_recur = true``), which costs an extra log
 factor.  Both methods produce the same factors to roundoff — the paper
 (and our tests) rely on that.
+
+Every method factors a tree level with one set of numerics: the level's
+nodes are grouped by operand shape and each step of eq. (8)/(10) is one
+stacked GEMM / LU / solve per group (:mod:`repro.perf.levelbatch`).  A
+group the batching policy declines runs as groups of one through the
+same code, so a node's factors do not depend on how its level was
+grouped — which is what lets the distributed local phase, the task-DAG
+executor, incremental updates and low-storage re-telescoping reproduce
+the serial full-storage factors bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +114,43 @@ class ReducedSystem:
     rcond: float
 
 
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    """``np.stack`` of same-shaped blocks; a group of one is a view."""
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0])[None]
+    return np.stack(blocks)
+
+
+def _v_products(v, X: np.ndarray):
+    """``K_i X[i]`` over a shape group's ``V`` blocks.
+
+    ``v`` is ``(summations, K)`` with ``K`` the stacked dense blocks, or
+    ``None`` when the blocks stay matrix-free (``reevaluate``/``fused``
+    summation, or a shape the cache declines: its verdict is per shape,
+    so a group is all dense or all matrix-free).  One stacked GEMM, or
+    each member's :meth:`KernelSummation.matvec`; flops and memory ops
+    are charged as ``matvec`` charges them.
+    """
+    summs, K = v
+    if K is None:
+        return [summ.matvec(X[i]) for i, summ in enumerate(summs)]
+    g, m, n = K.shape
+    k = X.shape[-1]
+    count_flops(g * 2 * m * n * k, label="summation_gemv")
+    count_mops(g * (m * n + n * k + m * k))
+    return np.matmul(K, X)
+
+
+def _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y) -> np.ndarray:
+    """Eq. (10) after its reduced solve: the stacked ``P^_alpha``."""
+    g, nl, s_a = G_l.shape
+    top = G_l - np.matmul(phat_l, y[:, :s_l])
+    bot = G_r - np.matmul(phat_r, y[:, s_l:])
+    s_r, nr = y.shape[1] - s_l, G_r.shape[1]
+    count_flops(g * 2 * s_a * (nl * s_l + nr * s_r), label="factor_telescope")
+    return np.concatenate([top, bot], axis=1)
+
+
 class HierarchicalFactorization:
     """Factorized ``lambda I + K~``; created by :func:`factorize`.
 
@@ -147,7 +193,7 @@ class HierarchicalFactorization:
         self.nodes_resumed: int = 0
         #: contiguous per-level factor storage (level -> list of stacked
         #: arrays); the per-node ``LeafFactor``/``InternalFactor`` fields
-        #: are *views* into these stacks when the level was batched.
+        #: are *views* into these stacks.
         self.level_stacks: dict[int, list[np.ndarray]] = {}
         #: node id -> (phat stack, slice index, the exact view handed to
         #: the node's factor).  Lets the next level up gather children
@@ -155,9 +201,6 @@ class HierarchicalFactorization:
         #: view identity check makes recovery-rewritten entries fall
         #: back to copying automatically.
         self._phat_slots: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
-        #: batching threshold for this factorization; ``None`` runs the
-        #: per-node path (set by :func:`factorize`).
-        self._batch_policy: levelbatch.BatchPolicy | None = None
         # low-storage solves temporarily re-materialize P^ blocks; the
         # lock serializes concurrent solves in that mode (full-storage
         # solves are read-only and need no coordination).
@@ -178,259 +221,125 @@ class HierarchicalFactorization:
         self._solve_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # construction
+    # construction: one level-stacked kernel (repro.perf.levelbatch)
     # ------------------------------------------------------------------
-    def _factor_leaf(self, leaf: Node) -> None:
-        h = self.hmatrix
-        rec = self.config.recovery
-        A = np.array(h.leaf_block(leaf), copy=True)
-        idx = np.arange(A.shape[0])
-        A[idx, idx] += self.lam + self._lam_extra.get(leaf.id, 0.0)
-        check = self.config.check_stability or rec.enabled
-        anorm = float(np.linalg.norm(A, 1)) if check else 0.0
-        self._leaf_anorms[leaf.id] = anorm
-        lu = lapack.lu_factor(A)
-        count_flops(2 * A.shape[0] ** 3 // 3, label="factor_leaf_lu")
-        rcond = estimate_rcond(lu[0], anorm) if check else 1.0
-        self.stability.record("leaf", leaf.id, rcond)
-        if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
-            raise StabilityError(
-                f"leaf block {leaf.id} broke down (rcond={rcond:.2e})"
-            )
-
-        phat = None
-        if h.skeletons.is_skeletonized(leaf.id):
-            proj = h.skeletons[leaf.id].proj  # (s, m)
-            phat = lapack.lu_solve(lu, proj.T)
-            count_flops(2 * A.shape[0] ** 2 * proj.shape[0], label="factor_leaf_phat")
-        self.leaf_factors[leaf.id] = LeafFactor(lu=lu, phat=phat, rcond=rcond)
-
-    def _factor_internal(self, node: Node) -> None:
-        """Z assembly + P^ telescoping for one internal node (Alg. II.2)."""
-        h = self.hmatrix
-        tree = h.tree
-        left, right = tree.children(node)
-        sk_l = h.skeletons[left.id]
-        sk_r = h.skeletons[right.id]
-        s_l, s_r = sk_l.rank, sk_r.rank
-        vbl = h.sibling_block(left)  # K_{l~ r}, (s_l, |r|)
-        vbr = h.sibling_block(right)  # K_{r~ l}, (s_r, |l|)
-        phat_l = self._phat(left)
-        phat_r = self._phat(right)
-
-        # Z = I + V W (eq. 8); GEMMs through the summation blocks.
-        B_lr = vbl.matvec(phat_r)  # (s_l, s_r)
-        B_rl = vbr.matvec(phat_l)  # (s_r, s_l)
-        Z = np.empty((s_l + s_r, s_l + s_r))
-        Z[:s_l, :s_l] = np.eye(s_l)
-        Z[s_l:, s_l:] = np.eye(s_r)
-        Z[:s_l, s_l:] = B_lr
-        Z[s_l:, :s_l] = B_rl
-        rec = self.config.recovery
-        check = self.config.check_stability or rec.enabled
-        anorm = float(np.linalg.norm(Z, 1)) if check else 0.0
-        z_lu = lapack.lu_factor(Z)
-        count_flops(2 * (s_l + s_r) ** 3 // 3, label="factor_z_lu")
-        rcond = estimate_rcond(z_lu[0], anorm) if check else 1.0
-        self.stability.record("reduced", node.id, rcond)
-        if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
-            raise StabilityError(
-                f"reduced system at node {node.id} broke down "
-                f"(rcond={rcond:.2e})"
-            )
-
-        factor = InternalFactor(
-            z_lu=z_lu,
-            s_l=s_l,
-            s_r=s_r,
-            vblock_l=vbl,
-            vblock_r=vbr,
-            phat=None,
-            rcond=rcond,
-        )
-        self.node_factors[node.id] = factor
-
-        if h.skeletons.is_skeletonized(node.id):
-            if self.config.method == "nlog2n":
-                factor.phat = self._phat_recursive(node)
-            else:
-                factor.phat = self._phat_telescoped(node, factor, phat_l, phat_r)
-
-    def _factor_node(self, node: Node) -> None:
-        """Factor one node; a breakdown takes recovery rung 1 if armed.
-
-        Rung 1 bumps lambda on the offending subtree's diagonal blocks
-        and re-factorizes just that subtree (its children are already
-        factored).  Exhaustion re-raises for robust_factorize's higher
-        rungs.
-        """
-        try:
-            if self.hmatrix.tree.is_leaf(node):
-                self._factor_leaf(node)
-            else:
-                self._factor_internal(node)
-        except StabilityError:
-            if not self.config.recovery.enabled:
-                raise
-            self._recover_node(node)
-
-    # ------------------------------------------------------------------
-    # level-synchronous batched construction (repro.perf.levelbatch)
-    # ------------------------------------------------------------------
-    def _factor_level_batched(
+    def _factor_subtrees(
         self,
-        nodes: list[Node],
-        level: int,
-        policy: levelbatch.BatchPolicy,
-        deadline,
+        roots: list[Node],
+        *,
+        deadline=None,
+        resume_levels: dict[int, dict] | None = None,
+        resume_nodes: dict[int, dict] | None = None,
+        on_level=None,
+        recover: bool = True,
     ) -> None:
-        """Factor one tree level with shape-batched stacked numerics.
+        """Factor every node under ``roots`` bottom-up, a tree level at a time.
 
-        Deadline charges land per node (same units and tags as the
-        per-node loop) before any numerics run, so a deadline trips at
-        the level boundary instead of mid-stack.  Nodes in groups too
-        small or ragged to batch — and nodes whose ``V`` blocks the
-        cache policy keeps matrix-free — go through ``_factor_node``
-        unchanged.  Broken-down nodes are collected and re-run through
-        the recovery ladder afterwards, in node order; the recovered
-        subtrees are disjoint, so deferral is value-identical to the
-        per-node path's recover-on-the-spot.
+        The one level loop of Algorithm II.2: :func:`factorize`, recovery
+        rung 1 and the local phases of the distributed solvers all run
+        it.  ``resume_levels`` transplants the contiguous deepest levels
+        (a gap means the shallower payloads may depend on recomputed
+        factors, so they are recomputed); ``resume_nodes`` transplants
+        single nodes and factors the rest of their level
+        (:func:`repro.perf.levelbatch.partition_resume`).
+        ``on_level(level)`` runs after each computed level.
+        """
+        tree = self.hmatrix.tree
+        by_level: dict[int, list[Node]] = {}
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            by_level.setdefault(node.level, []).append(node)
+            if not tree.is_leaf(node):
+                stack.extend(tree.children(node))
+        restorable = True
+        for level in sorted(by_level, reverse=True):
+            if restorable and resume_levels and level in resume_levels:
+                self.restore_level_payload(resume_levels[level])
+                continue
+            restorable = False
+            members = by_level[level]
+            todo, restored = levelbatch.partition_resume(members, resume_nodes or {})
+            for node in restored:
+                self.restore_node_payload(resume_nodes[node.id])
+            with span("factorize.level", attrs={"level": level, "nodes": len(todo)}):
+                if todo:
+                    self._factor_level(todo, deadline, recover=recover)
+            if restored:
+                self.nodes_resumed += len(restored)
+                self._restore_node_order(members)
+            if on_level is not None:
+                on_level(level)
+
+    def _factor_level(
+        self, nodes: list[Node], deadline=None, *, recover: bool = True
+    ) -> None:
+        """Factor same-level ``nodes`` whose children are already factored.
+
+        Deadline charges land per node before any numerics run, so a
+        deadline trips at the level boundary instead of mid-stack.  Nodes
+        are grouped by operand shape; a group the
+        :class:`~repro.perf.levelbatch.BatchPolicy` declines runs as
+        groups of one through the same stacked code, so a node's factors
+        never depend on how its level was grouped.  Broken-down nodes
+        then take recovery rung 1 in node order (their subtrees are
+        disjoint); with ``recover=False`` the first one raises instead,
+        which fails a rung-1 attempt as a whole.
         """
         if deadline is not None:
             for node in nodes:
                 deadline.charge(1, f"factorize.node({node.id})")
         tree = self.hmatrix.tree
-        stacks = self.level_stacks.setdefault(level, [])
+        policy = levelbatch.BatchPolicy.current()
+        stacks: list[np.ndarray] = []
+        broken: list[tuple[Node, str]] = []
+        singles = 0
         leaves = [n for n in nodes if tree.is_leaf(n)]
+        for (_m, s), group in self._leaf_groups(leaves, policy):
+            self._factor_leaf_group(group, s, stacks, broken)
+            singles += len(group) == 1
         internals = [n for n in nodes if not tree.is_leaf(n)]
-        pernode: list[Node] = []
-        broken: list[tuple[Node, StabilityError]] = []
-        if leaves:
-            pn, br = self._factor_leaves_batched(leaves, policy, stacks)
-            pernode.extend(pn)
-            broken.extend(br)
-        if internals:
-            pn, br = self._factor_internals_batched(internals, policy, stacks)
-            pernode.extend(pn)
-            broken.extend(br)
-        if not stacks:
-            del self.level_stacks[level]
-        registry().counter("levelbatch.nodes").inc(len(nodes) - len(pernode))
-        registry().counter("levelbatch.fallback").inc(len(pernode))
-        for node in pernode:
-            self._factor_node(node)
-        for node, exc in broken:
-            if not self.config.recovery.enabled:
-                raise exc
+        for key, group in self._internal_groups(internals, policy):
+            self._factor_internal_group(group, key, stacks, broken)
+            singles += len(group) == 1
+        if stacks:
+            self.level_stacks.setdefault(nodes[0].level, []).extend(stacks)
+        registry().counter("levelbatch.nodes").inc(len(nodes) - singles)
+        registry().counter("levelbatch.fallback").inc(singles)
+        self._restore_node_order(nodes)
+        position = {n.id: i for i, n in enumerate(nodes)}
+        for node, message in sorted(broken, key=lambda b: position[b[0].id]):
+            if not recover:
+                raise StabilityError(message)
             self._recover_node(node)
-        # shape groups insert factors out of node order; restore the
-        # per-node visit order so order-dependent float accumulations
-        # over the dicts (slogdet's log sum) stay bitwise identical.
+
+    def _restore_node_order(self, nodes: list[Node]) -> None:
+        """Re-insert ``nodes``' factors in node order.
+
+        Shape groups and transplants insert factors out of node order;
+        order-dependent float accumulations over the factor dicts
+        (slogdet's log sum) must not depend on how a level was grouped.
+        """
         for node in nodes:
             if node.id in self.leaf_factors:
                 self.leaf_factors[node.id] = self.leaf_factors.pop(node.id)
             else:
                 self.node_factors[node.id] = self.node_factors.pop(node.id)
 
-    def _factor_leaves_batched(
-        self,
-        leaves: list[Node],
-        policy: levelbatch.BatchPolicy,
-        stacks: list[np.ndarray],
-    ) -> tuple[list[Node], list[tuple[Node, StabilityError]]]:
-        """Stacked counterpart of :meth:`_factor_leaf` for one level."""
-        h = self.hmatrix
-        sset = h.skeletons
-        rec = self.config.recovery
-        check = self.config.check_stability or rec.enabled
-        pernode: list[Node] = []
-        broken: list[tuple[Node, StabilityError]] = []
-        groups = levelbatch.group_by_key(
+    def _leaf_groups(self, leaves: list[Node], policy: levelbatch.BatchPolicy):
+        sset = self.hmatrix.skeletons
+        return levelbatch.split_groups(
             leaves,
             lambda leaf: (
                 leaf.size,
                 sset[leaf.id].rank if sset.is_skeletonized(leaf.id) else -1,
             ),
+            lambda key, g: policy.worth(g, key[0] * key[0], calls_saved=8),
         )
-        for (m, s), idxs in groups.items():
-            members = [leaves[i] for i in idxs]
-            g = len(members)
-            if m == 0 or not policy.worth(g, m * m, calls_saved=8):
-                pernode.extend(members)
-                continue
-            A = h.leaf_blocks_stacked(members)
-            idx = np.arange(m)
-            lam = self.lam + np.array(
-                [self._lam_extra.get(leaf.id, 0.0) for leaf in members]
-            )
-            A[:, idx, idx] += lam[:, None]
-            anorms = levelbatch.one_norms_stacked(A) if check else np.zeros(g)
-            for i, leaf in enumerate(members):
-                self._leaf_anorms[leaf.id] = float(anorms[i])
-            phat = None
-            if s >= 0:
-                # F-sliced right-hand sides let dgetrs solve in place.
-                P = np.empty((g, s, m)).transpose(0, 2, 1)
-                for i, leaf in enumerate(members):
-                    P[i] = sset[leaf.id].proj.T
-                lu, piv, phat = lapack.lu_factor_solve_batched(
-                    A, P, overwrite_b=True
-                )
-                count_flops(g * (2 * m**3 // 3), label="factor_leaf_lu")
-                count_flops(g * 2 * m**2 * s, label="factor_leaf_phat")
-            else:
-                lu, piv = lapack.lu_factor_batched(A)
-                count_flops(g * (2 * m**3 // 3), label="factor_leaf_lu")
-            stacks.extend([lu, piv] + ([phat] if phat is not None else []))
-            rconds = (
-                estimate_rcond_batched(lu, anorms) if check else np.ones(g)
-            )
-            for i, leaf in enumerate(members):
-                rcond = float(rconds[i])
-                self.stability.record("leaf", leaf.id, rcond)
-                factor = LeafFactor(
-                    lu=(lu[i], piv[i]),
-                    phat=None if phat is None else phat[i],
-                    rcond=rcond,
-                )
-                self.leaf_factors[leaf.id] = factor
-                if phat is not None:
-                    self._phat_slots[leaf.id] = (phat, i, factor.phat)
-                if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
-                    broken.append(
-                        (
-                            leaf,
-                            StabilityError(
-                                f"leaf block {leaf.id} broke down "
-                                f"(rcond={rcond:.2e})"
-                            ),
-                        )
-                    )
-        return pernode, broken
 
-    def _factor_internals_batched(
-        self,
-        nodes: list[Node],
-        policy: levelbatch.BatchPolicy,
-        stacks: list[np.ndarray],
-    ) -> tuple[list[Node], list[tuple[Node, StabilityError]]]:
-        """Stacked counterpart of :meth:`_factor_internal` for one level.
-
-        Groups by the full operand-shape tuple, materializes the
-        children's ``V`` blocks through the cache (honoring its
-        store-vs-recompute policy — a declined block drops the node to
-        the per-node matrix-free path), then issues one stacked GEMM /
-        LU / solve per step of eq. (8) and eq. (10).  Flops and memory
-        ops are charged with the per-node labels and totals.
-        """
-        h = self.hmatrix
-        tree = h.tree
-        sset = h.skeletons
-        rec = self.config.recovery
-        check = self.config.check_stability or rec.enabled
-        low = self.config.storage == "low"
-        pernode: list[Node] = []
-        broken: list[tuple[Node, StabilityError]] = []
+    def _internal_groups(self, nodes: list[Node], policy: levelbatch.BatchPolicy):
+        tree = self.hmatrix.tree
+        sset = self.hmatrix.skeletons
 
         def node_key(node: Node):
             left, right = tree.children(node)
@@ -442,145 +351,201 @@ class HierarchicalFactorization:
                 sset[node.id].rank if sset.is_skeletonized(node.id) else -1,
             )
 
-        groups = levelbatch.group_by_key(nodes, node_key)
-        for (nl, nr, s_l, s_r, s_a), idxs in groups.items():
-            members = [nodes[i] for i in idxs]
-            g = len(members)
+        def worth(key, g: int) -> bool:
+            nl, nr, s_l, s_r, s_a = key
             s = s_l + s_r
-            item_words = s * s + s_l * nr + s_r * nl + max(s_a, 0) * (nl + nr)
-            if not policy.worth(g, item_words, calls_saved=12):
-                pernode.extend(members)
-                continue
-            children = [tree.children(n) for n in members]
-            vbls = [h.sibling_block(l) for l, _ in children]
-            vbrs = [h.sibling_block(r) for _, r in children]
-            K_l = h.materialize_blocks(vbls)  # K_{l~ r}, (s_l, |r|)
-            K_r = h.materialize_blocks(vbrs)  # K_{r~ l}, (s_r, |l|)
-            keep = [
-                i for i in range(g) if K_l[i] is not None and K_r[i] is not None
-            ]
-            if len(keep) < g:
-                kept = set(keep)
-                pernode.extend(members[i] for i in range(g) if i not in kept)
-                if len(keep) < 2:
-                    pernode.extend(members[i] for i in keep)
-                    continue
-                members = [members[i] for i in keep]
-                children = [children[i] for i in keep]
-                vbls = [vbls[i] for i in keep]
-                vbrs = [vbrs[i] for i in keep]
-                K_l = [K_l[i] for i in keep]
-                K_r = [K_r[i] for i in keep]
-                g = len(members)
-            K_lr = np.stack(K_l)
-            K_rl = np.stack(K_r)
-            phat_l = self._gather_phats([l for l, _ in children])
-            phat_r = self._gather_phats([r for _, r in children])
+            words = s * s + s_l * nr + s_r * nl + max(s_a, 0) * (nl + nr)
+            return policy.worth(g, words, calls_saved=12)
 
-            # Z = I + V W (eq. 8), one stacked GEMM per off-diagonal block.
-            B_lr = np.matmul(K_lr, phat_r)  # (g, s_l, s_r)
-            B_rl = np.matmul(K_rl, phat_l)  # (g, s_r, s_l)
-            count_flops(g * 2 * s_l * nr * s_r, label="summation_gemv")
-            count_mops(g * (s_l * nr + nr * s_r + s_l * s_r))
-            count_flops(g * 2 * s_r * nl * s_l, label="summation_gemv")
-            count_mops(g * (s_r * nl + nl * s_l + s_r * s_l))
-            # With stability checks off, F-sliced storage lets the LU
-            # factor Z in place; the 1-norm estimate must read a
-            # C-ordered stack (summation order is layout-dependent, and
-            # the per-node reference norm runs on C-ordered blocks).
-            if check:
-                Z = np.zeros((g, s, s))
-            else:
-                Z = np.zeros((g, s, s)).transpose(0, 2, 1)
-            di = np.arange(s)
-            Z[:, di, di] = 1.0
-            Z[:, :s_l, s_l:] = B_lr
-            Z[:, s_l:, :s_l] = B_rl
-            anorms = levelbatch.one_norms_stacked(Z) if check else np.zeros(g)
-            y = None
-            if s_a >= 0:
-                # eq. (10) telescoping, one stacked GEMM per step; the
-                # reduced solve fuses with the LU below (one locked pass).
-                projT_l = np.empty((g, s_l, s_a))
-                projT_r = np.empty((g, s_r, s_a))
-                for i, node in enumerate(members):
-                    proj = sset[node.id].proj  # (s_a, s_l + s_r)
-                    projT_l[i] = proj[:, :s_l].T
-                    projT_r[i] = proj[:, s_l:].T
-                G_l = np.matmul(phat_l, projT_l)  # (g, |l|, s_a)
-                G_r = np.matmul(phat_r, projT_r)  # (g, |r|, s_a)
-                count_flops(
-                    g * 2 * s_a * (nl * s_l + nr * s_r),
-                    label="factor_telescope",
-                )
-                t_top = np.matmul(K_lr, G_r)
-                t_bot = np.matmul(K_rl, G_l)
-                count_flops(g * 2 * s_l * nr * s_a, label="summation_gemv")
-                count_mops(g * (s_l * nr + nr * s_a + s_l * s_a))
-                count_flops(g * 2 * s_r * nl * s_a, label="summation_gemv")
-                count_mops(g * (s_r * nl + nl * s_a + s_r * s_a))
-                t = np.empty((g, s_a, s)).transpose(0, 2, 1)
-                t[:, :s_l] = t_top
-                t[:, s_l:] = t_bot
-                z_lu, z_piv, y = lapack.lu_factor_solve_batched(
-                    Z, t, overwrite_a=not check, overwrite_b=True
-                )
-                count_flops(g * 2 * s**2 * s_a, label="factor_z_solve")
-            else:
-                z_lu, z_piv = lapack.lu_factor_batched(Z, overwrite_a=not check)
-            count_flops(g * (2 * s**3 // 3), label="factor_z_lu")
-            stacks.extend([z_lu, z_piv])
-            rconds = (
-                estimate_rcond_batched(z_lu, anorms) if check else np.ones(g)
+        return levelbatch.split_groups(nodes, node_key, worth)
+
+    def _factor_leaf_group(
+        self,
+        leaves: list[Node],
+        s: int,
+        stacks: list[np.ndarray],
+        broken: list[tuple[Node, str]],
+    ) -> None:
+        """LU of ``lambda I + K_leaf`` and ``P^_leaf`` for same-shaped leaves.
+
+        ``s`` is the leaves' skeleton rank, -1 for a skeleton-less root
+        leaf (no ``P^``).
+        """
+        h = self.hmatrix
+        sset = h.skeletons
+        rec = self.config.recovery
+        check = self.config.check_stability or rec.enabled
+        g, m = len(leaves), leaves[0].size
+        A = h.leaf_blocks_stacked(leaves)
+        idx = np.arange(m)
+        lam = self.lam + np.array(
+            [self._lam_extra.get(leaf.id, 0.0) for leaf in leaves]
+        )
+        A[:, idx, idx] += lam[:, None]
+        anorms = levelbatch.one_norms_stacked(A) if check else np.zeros(g)
+        for i, leaf in enumerate(leaves):
+            self._leaf_anorms[leaf.id] = float(anorms[i])
+        phat = None
+        if s >= 0:
+            # F-sliced right-hand sides let dgetrs solve in place.
+            P = np.empty((g, s, m)).transpose(0, 2, 1)
+            for i, leaf in enumerate(leaves):
+                P[i] = sset[leaf.id].proj.T
+            lu, piv, phat = lapack.lu_factor_solve_batched(A, P, overwrite_b=True)
+            count_flops(g * 2 * m**2 * s, label="factor_leaf_phat")
+        else:
+            lu, piv = lapack.lu_factor_batched(A)
+        count_flops(g * (2 * m**3 // 3), label="factor_leaf_lu")
+        stacks.extend([lu, piv] + ([phat] if phat is not None else []))
+        rconds = estimate_rcond_batched(lu, anorms) if check else np.ones(g)
+        for i, leaf in enumerate(leaves):
+            rcond = float(rconds[i])
+            self.stability.record("leaf", leaf.id, rcond)
+            factor = LeafFactor(
+                lu=(lu[i], piv[i]),
+                phat=None if phat is None else phat[i],
+                rcond=rcond,
             )
-            factors: list[InternalFactor] = []
-            for i, node in enumerate(members):
-                rcond = float(rconds[i])
-                self.stability.record("reduced", node.id, rcond)
-                factor = InternalFactor(
-                    z_lu=(z_lu[i], z_piv[i]),
-                    s_l=s_l,
-                    s_r=s_r,
-                    vblock_l=vbls[i],
-                    vblock_r=vbrs[i],
-                    phat=None,
-                    rcond=rcond,
+            self.leaf_factors[leaf.id] = factor
+            if phat is not None:
+                self._phat_slots[leaf.id] = (phat, i, factor.phat)
+            if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
+                broken.append(
+                    (leaf, f"leaf block {leaf.id} broke down (rcond={rcond:.2e})")
                 )
-                self.node_factors[node.id] = factor
-                factors.append(factor)
-                if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
-                    broken.append(
-                        (
-                            node,
-                            StabilityError(
-                                f"reduced system at node {node.id} broke down "
-                                f"(rcond={rcond:.2e})"
-                            ),
-                        )
-                    )
 
-            if s_a >= 0:
-                top = G_l - np.matmul(phat_l, y[:, :s_l])
-                bot = G_r - np.matmul(phat_r, y[:, s_l:])
-                count_flops(
-                    g * 2 * s_a * (nl * s_l + nr * s_r),
-                    label="factor_telescope",
+    def _factor_internal_group(
+        self,
+        nodes: list[Node],
+        key: tuple[int, int, int, int, int],
+        stacks: list[np.ndarray],
+        broken: list[tuple[Node, str]],
+    ) -> None:
+        """Eq. (8)'s ``Z = I + V W`` and its LU, then eq. (10)'s ``P^``,
+        for same-shaped internal nodes: one stacked GEMM / LU / solve per
+        step.  ``nlog2n`` takes its ``P^`` from the recursive solve."""
+        rec = self.config.recovery
+        check = self.config.check_stability or rec.enabled
+        _nl, _nr, s_l, s_r, s_a = key
+        g, s = len(nodes), s_l + s_r
+        vl, vr, phat_l, phat_r = self._internal_operands(nodes)
+
+        # With stability checks off, F-sliced storage lets the LU factor
+        # Z in place; the 1-norm estimate must read a C-ordered stack
+        # (its summation order is layout-dependent).
+        if check:
+            Z = np.zeros((g, s, s))
+        else:
+            Z = np.zeros((g, s, s)).transpose(0, 2, 1)
+        di = np.arange(s)
+        Z[:, di, di] = 1.0
+        Z[:, :s_l, s_l:] = _v_products(vl, phat_r)  # K_{l~ r} P^_r
+        Z[:, s_l:, :s_l] = _v_products(vr, phat_l)  # K_{r~ l} P^_l
+        anorms = levelbatch.one_norms_stacked(Z) if check else np.zeros(g)
+        telescope = s_a >= 0 and self.config.method != "nlog2n"
+        if telescope:
+            # the eq. (10) reduced solve fuses with the LU (one locked pass).
+            G_l, G_r, t = self._telescope_rhs(nodes, vl, vr, phat_l, phat_r)
+            z_lu, z_piv, y = lapack.lu_factor_solve_batched(
+                Z, t, overwrite_a=not check, overwrite_b=True
+            )
+            count_flops(g * 2 * s**2 * s_a, label="factor_z_solve")
+        else:
+            z_lu, z_piv = lapack.lu_factor_batched(Z, overwrite_a=not check)
+        count_flops(g * (2 * s**3 // 3), label="factor_z_lu")
+        stacks.extend([z_lu, z_piv])
+        rconds = estimate_rcond_batched(z_lu, anorms) if check else np.ones(g)
+        factors: list[InternalFactor] = []
+        for i, node in enumerate(nodes):
+            rcond = float(rconds[i])
+            self.stability.record("reduced", node.id, rcond)
+            factor = InternalFactor(
+                z_lu=(z_lu[i], z_piv[i]),
+                s_l=s_l,
+                s_r=s_r,
+                vblock_l=vl[0][i],
+                vblock_r=vr[0][i],
+                phat=None,
+                rcond=rcond,
+            )
+            self.node_factors[node.id] = factor
+            factors.append(factor)
+            if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
+                broken.append(
+                    (
+                        node,
+                        f"reduced system at node {node.id} broke down "
+                        f"(rcond={rcond:.2e})",
+                    )
                 )
-                phat = np.concatenate([top, bot], axis=1)
-                if low:
-                    # low-storage mode releases internal P^ blocks right
-                    # after the parent level; per-node copies keep that
-                    # release effective (a stack would stay pinned by any
-                    # surviving frontier view).
-                    for i, factor in enumerate(factors):
-                        factor.phat = phat[i].copy()
-                else:
-                    stacks.append(phat)
-                    for i, factor in enumerate(factors):
-                        factor.phat = phat[i]
-                    for i, node in enumerate(members):
-                        self._phat_slots[node.id] = (phat, i, factors[i].phat)
-        return pernode, broken
+
+        if s_a < 0:
+            return
+        if not telescope:
+            for node, factor in zip(nodes, factors):
+                factor.phat = self._phat_recursive(node)
+            return
+        phat = _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y)
+        if self.config.storage == "low":
+            # low-storage mode releases internal P^ blocks right after the
+            # parent level; per-node copies keep that release effective
+            # (a stack would stay pinned by any surviving frontier view).
+            for i, factor in enumerate(factors):
+                factor.phat = phat[i].copy()
+            return
+        stacks.append(phat)
+        for i, (node, factor) in enumerate(zip(nodes, factors)):
+            factor.phat = phat[i]
+            self._phat_slots[node.id] = (phat, i, factor.phat)
+
+    def _internal_operands(self, nodes: list[Node]):
+        """``(V_l, V_r, P^_l, P^_r)`` of a same-shaped internal group.
+
+        ``V_l``/``V_r`` pair the children's sibling blocks ``K_{l~ r}`` /
+        ``K_{r~ l}`` with their stacked dense payloads (see
+        :func:`_v_products`); ``P^_l``/``P^_r`` are the children's
+        stacked ``P^`` blocks.
+        """
+        h = self.hmatrix
+
+        def vblocks(summs: list[KernelSummation]):
+            blocks = h.materialize_blocks(summs)
+            if any(block is None for block in blocks):
+                return summs, None
+            return summs, _stack(blocks)
+
+        children = [h.tree.children(n) for n in nodes]
+        return (
+            vblocks([h.sibling_block(left) for left, _ in children]),
+            vblocks([h.sibling_block(right) for _, right in children]),
+            self._gather_phats([left for left, _ in children]),
+            self._gather_phats([right for _, right in children]),
+        )
+
+    def _telescope_rhs(self, nodes, vl, vr, phat_l, phat_r):
+        """Eq. (10) up to its reduced solve, for a same-shaped group.
+
+        Returns ``G_l = P^_l P_{l~ alpha~}``, ``G_r`` likewise, and the
+        F-sliced right-hand side ``t = [K_{l~ r} G_r; K_{r~ l} G_l]`` of
+        ``Z y = t`` (F-sliced so the solve runs in place).
+        """
+        sset = self.hmatrix.skeletons
+        g, nl, s_l = phat_l.shape
+        nr, s_r = phat_r.shape[1:]
+        s_a = sset[nodes[0].id].rank
+        projT_l = np.empty((g, s_l, s_a))
+        projT_r = np.empty((g, s_r, s_a))
+        for i, node in enumerate(nodes):
+            proj = sset[node.id].proj  # (s_a, s_l + s_r)
+            projT_l[i] = proj[:, :s_l].T
+            projT_r[i] = proj[:, s_l:].T
+        G_l = np.matmul(phat_l, projT_l)  # (g, |l|, s_a)
+        G_r = np.matmul(phat_r, projT_r)  # (g, |r|, s_a)
+        count_flops(g * 2 * s_a * (nl * s_l + nr * s_r), label="factor_telescope")
+        t = np.empty((g, s_a, s_l + s_r)).transpose(0, 2, 1)
+        t[:, :s_l] = _v_products(vl, G_r)
+        t[:, s_l:] = _v_products(vr, G_l)
+        return G_l, G_r, t
 
     # ------------------------------------------------------------------
     # recovery ladder, rung 1: per-subtree lambda bump (docs/ROBUSTNESS.md)
@@ -600,28 +565,17 @@ class HierarchicalFactorization:
         visit(node)
         return out
 
-    def _refactor_subtree(self, node: Node) -> None:
-        """Re-factorize ``node``'s subtree bottom-up with current lambdas.
-
-        Only the subtree is redone: skeletons, sibling blocks, and every
-        factor outside it are untouched — the checkpointed-skeleton
-        property that makes recovery local.
-        """
-        tree = self.hmatrix.tree
-        for n in self._subtree_nodes(node):
-            if tree.is_leaf(n):
-                self._factor_leaf(n)
-            else:
-                self._factor_internal(n)
-
     def _recover_node(self, node: Node) -> None:
         """Lambda-bump ladder for a broken-down block at ``node``.
 
         Bumps the regularization on the subtree's diagonal (leaf) blocks
         — first by ``lambda_bump0`` relative to each leaf's 1-norm, then
         geometrically — re-factorizing just that subtree each attempt.
-        Raises :class:`~repro.exceptions.StabilityError` when the bump
-        budget is exhausted (the caller escalates to the next rung).
+        Only the subtree is redone: skeletons, sibling blocks, and every
+        factor outside it are untouched — the checkpointed-skeleton
+        property that makes recovery local.  Raises
+        :class:`~repro.exceptions.StabilityError` when the bump budget is
+        exhausted (the caller escalates to the next rung).
         """
         rec = self.config.recovery
         tree = self.hmatrix.tree
@@ -637,7 +591,7 @@ class HierarchicalFactorization:
                 )
                 self._lam_extra[lf.id] = self._lam_extra.get(lf.id, 0.0) + bump
             try:
-                self._refactor_subtree(node)
+                self._factor_subtrees([node], recover=False)
             except StabilityError as exc:
                 last = exc
                 continue
@@ -819,8 +773,9 @@ class HierarchicalFactorization:
         fallback copy preserves the blocks' own layout — leaf ``P^``
         blocks are F-ordered (LAPACK solve outputs), internal ones
         C-ordered (concatenated telescopes) — because ``np.matmul``
-        results follow operand strides and a layout flip here would
-        silently break bitwise parity with the per-node path.
+        results follow operand strides, so a layout flip here would make
+        a node's bits depend on how its level was grouped.  A group of
+        one is a ``[None]`` view of its block, never a copy.
         """
         slots = [self._phat_slots.get(n.id) for n in nodes]
         first = slots[0]
@@ -836,6 +791,10 @@ class HierarchicalFactorization:
                 # expresses that in a slice.
                 return first[0][idx[0] : (stop if stop >= 0 else None) : step]
         blocks = [self._phat(n) for n in nodes]
+        if len(blocks) == 1 and (
+            blocks[0].flags.f_contiguous or blocks[0].flags.c_contiguous
+        ):
+            return blocks[0][None]
         n, s = blocks[0].shape
         if all(b.flags.f_contiguous for b in blocks):
             out = np.empty((len(blocks), s, n)).transpose(0, 2, 1)
@@ -859,68 +818,57 @@ class HierarchicalFactorization:
 
     # -- low-storage mode (paper section III, "Recomputing W with (10)
     # can reduce another sN log(N/m) to sN") --------------------------
-    def _drop_internal_phats(self, level: int) -> None:
-        """Release P^ of internal non-frontier nodes at ``level``."""
+    def _drop_internal_phats(self, level: int | None = None) -> None:
+        """Release P^ of internal non-frontier nodes (at ``level``, or all)."""
         frontier_ids = {f.id for f in self.hmatrix.frontier}
         tree = self.hmatrix.tree
         for nid, factor in self.node_factors.items():
-            node = tree.node(nid)
-            if node.level == level and nid not in frontier_ids:
+            if nid in frontier_ids:
+                continue
+            if level is None or tree.node(nid).level == level:
                 factor.phat = None
 
     def _materialize_phats(self) -> list[InternalFactor]:
-        """Re-telescope dropped internal P^ blocks (bottom-up, eq. 10).
+        """Re-telescope dropped internal P^ blocks level by level (eq. 10).
 
-        Returns the factors that were restored so the caller can release
+        Runs the factorization's stacked eq. (10) code against the stored
+        Z LUs (``dgetrs``, as the factorization's fused LU-and-solve
+        does), so the restored blocks are bitwise the ones full storage
+        keeps.  Returns the restored factors so the caller can release
         them again after the solve.
         """
-        tree = self.hmatrix.tree
+        h = self.hmatrix
+        by_level: dict[int, list[Node]] = {}
+        for nid, factor in self.node_factors.items():
+            if factor.phat is None and h.skeletons.is_skeletonized(nid):
+                node = h.tree.node(nid)
+                by_level.setdefault(node.level, []).append(node)
+        policy = levelbatch.BatchPolicy.current()
         restored: list[InternalFactor] = []
-        missing = [
-            (tree.node(nid), factor)
-            for nid, factor in self.node_factors.items()
-            if factor.phat is None
-            and self.hmatrix.skeletons.is_skeletonized(nid)
-        ]
-        for node, factor in sorted(missing, key=lambda nf: -nf[0].level):
-            left, right = tree.children(node)
-            factor.phat = self._phat_telescoped(
-                node, factor, self._phat(left), self._phat(right)
-            )
-            restored.append(factor)
+        for level in sorted(by_level, reverse=True):
+            for key, nodes in self._internal_groups(by_level[level], policy):
+                _nl, _nr, s_l, s_r, s_a = key
+                factors = [self.node_factors[n.id] for n in nodes]
+                vl, vr, phat_l, phat_r = self._internal_operands(nodes)
+                G_l, G_r, t = self._telescope_rhs(nodes, vl, vr, phat_l, phat_r)
+                y = lapack.lu_solve_batched(
+                    ([f.z_lu[0] for f in factors], [f.z_lu[1] for f in factors]),
+                    t,
+                    overwrite_b=True,
+                )
+                count_flops(
+                    len(nodes) * 2 * (s_l + s_r) ** 2 * s_a, label="factor_z_solve"
+                )
+                phat = _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y)
+                for i, factor in enumerate(factors):
+                    factor.phat = phat[i]
+                restored.extend(factors)
         return restored
 
     @staticmethod
     def _release_phats(restored: list[InternalFactor]) -> None:
         for factor in restored:
             factor.phat = None
-
-    def _phat_telescoped(
-        self,
-        node: Node,
-        factor: InternalFactor,
-        phat_l: np.ndarray,
-        phat_r: np.ndarray,
-    ) -> np.ndarray:
-        """Eq. (10): P^_alpha from the children's P^ — no recursion."""
-        proj = self.hmatrix.skeletons[node.id].proj  # (s_a, s_l + s_r)
-        s_l = factor.s_l
-        G_l = phat_l @ proj[:, :s_l].T  # (|l|, s_a)
-        G_r = phat_r @ proj[:, s_l:].T  # (|r|, s_a)
-        count_flops(
-            2 * proj.shape[0] * (phat_l.size + phat_r.size), label="factor_telescope"
-        )
-        t = np.vstack(
-            [factor.vblock_l.matvec(G_r), factor.vblock_r.matvec(G_l)]
-        )
-        y = lapack.lu_solve(factor.z_lu, t)
-        count_flops(2 * t.shape[0] ** 2 * t.shape[1], label="factor_z_solve")
-        top = G_l - phat_l @ y[:s_l]
-        bot = G_r - phat_r @ y[s_l:]
-        count_flops(
-            2 * proj.shape[0] * (phat_l.size + phat_r.size), label="factor_telescope"
-        )
-        return np.vstack([top, bot])
 
     def _phat_recursive(self, node: Node) -> np.ndarray:
         """INV-ASKIT [36]: P^_alpha = Solve(alpha, P_alpha, recurse=True).
@@ -947,7 +895,7 @@ class HierarchicalFactorization:
         method = SummationMethod(self.config.summation)
 
         # off-diagonal pair blocks K_{f~ g}; sibling pairs reuse the
-        # blocks the per-node factorization already built/cached, the
+        # blocks the below-frontier factorization already built/cached, the
         # rest come from the H-matrix's block cache (shared across
         # factorizations of the same matrix).
         pair_blocks: dict[tuple[int, int], KernelSummation] = {}
@@ -965,9 +913,9 @@ class HierarchicalFactorization:
         if self.config.method != "hybrid":
             Z = np.eye(size)
             handled: set[tuple[int, int]] = set()
-            if self._batch_policy is not None and len(frontier) > 1:
+            if len(frontier) > 1:
                 handled = self._assemble_reduced_batched(
-                    Z, slices, frontier, pair_blocks, self._batch_policy
+                    Z, slices, frontier, pair_blocks, levelbatch.BatchPolicy.current()
                 )
             for g in frontier:
                 phat_g = self._phat(g)
@@ -1133,21 +1081,13 @@ class HierarchicalFactorization:
             self.reduced_iterations.append(res.n_iters)
             self.reduced_histories.append(res.residuals)
             return res.x
-        if self.config.batch_rhs:
-            # one lockstep GMRES iteration per matvec: every pair block
-            # sees the whole (size, k) panel at once (BLAS-3).
-            results = gmres_batched(self.reduced_matvec, t, cfg)
-            for res in results:
-                self.reduced_iterations.append(res.n_iters)
-                self.reduced_histories.append(res.residuals)
-            return np.stack([res.x for res in results], axis=1)
-        cols = []
-        for j in range(t.shape[1]):
-            res = gmres(self.reduced_matvec, t[:, j], cfg)
+        # one lockstep GMRES iteration per matvec: every pair block sees
+        # the whole (size, k) panel at once (BLAS-3).
+        results = gmres_batched(self.reduced_matvec, t, cfg)
+        for res in results:
             self.reduced_iterations.append(res.n_iters)
             self.reduced_histories.append(res.residuals)
-            cols.append(res.x)
-        return np.stack(cols, axis=1)
+        return np.stack([res.x for res in results], axis=1)
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """``w = (lambda I + K~)^{-1} u`` (tree order; (N,) or (N, k))."""
@@ -1337,92 +1277,42 @@ def factorize(
     if deadline is None:
         deadline = current_deadline()
     fact = HierarchicalFactorization(hmatrix, lam, config)
-    # level-synchronous batching: the batched path is bitwise identical
-    # to the per-node path (see repro.perf.levelbatch), so this is purely
-    # an execution-strategy choice.  nlog2n's recursive P^ has no stacked
-    # form; it always runs per node.
-    if (
-        config.level_batch
-        and config.method != "nlog2n"
-        and levelbatch.batching_enabled()
-    ):
-        fact._batch_policy = levelbatch.BatchPolicy.current()
     if partial_sink is not None:
         partial_sink.append(fact)
     tree = hmatrix.tree
 
     if tree.depth == 0:
-        fact._factor_node(tree.root)
+        fact._factor_level([tree.root])
         fact.completed_levels.add(0)
         fact._factored = True
         fact.stability.warn_if_unstable()
         return fact
 
-    # bottom-up over nodes at/below the frontier (level-wise postorder).
-    below = hmatrix._nodes_at_or_below_frontier()
-    by_level: dict[int, list[Node]] = {}
-    for node in below:
-        by_level.setdefault(node.level, []).append(node)
-    levels = sorted(by_level, reverse=True)
-    # resume: transplant the contiguous deepest checkpointed levels; a
-    # gap means the shallower payloads may depend on recomputed factors,
-    # so they are discarded and recomputed.
-    restorable = True
-    for level in levels:
-        if restorable and resume_levels and level in resume_levels:
-            fact.restore_level_payload(resume_levels[level])
-            continue
-        restorable = False
-        members = by_level[level]
-        todo = members
-        restored: list[Node] = []
-        if resume_nodes:
-            todo, restored = levelbatch.partition_resume(members, resume_nodes)
-            for node in restored:
-                fact.restore_node_payload(resume_nodes[node.id])
-        with span(
-            "factorize.level",
-            attrs={"level": level, "nodes": len(todo)},
-        ):
-            if fact._batch_policy is not None and todo:
-                fact._factor_level_batched(
-                    todo,
-                    level,
-                    fact._batch_policy,
-                    deadline,
-                )
-            else:
-                for node in todo:
-                    if deadline is not None:
-                        deadline.charge(1, f"factorize.node({node.id})")
-                    fact._factor_node(node)
-        if restored:
-            fact.nodes_resumed += len(restored)
-            # restores and computes interleave out of node order; restore
-            # the per-node visit order so order-dependent accumulations
-            # over the factor dicts (slogdet) stay bitwise identical to
-            # a from-scratch factorization of the same H-matrix.
-            for node in members:
-                if node.id in fact.leaf_factors:
-                    fact.leaf_factors[node.id] = fact.leaf_factors.pop(node.id)
-                else:
-                    fact.node_factors[node.id] = fact.node_factors.pop(node.id)
+    def level_done(level: int) -> None:
         fact.completed_levels.add(level)
         if on_level is not None:
             on_level(level, fact)
-        if config.storage == "low" and level + 1 in by_level:
+        if config.storage == "low":
             # the level just below is no longer needed: its P^ blocks fed
             # this level's Z and telescoping (paper section III memory
             # scheme) — keep only leaf and frontier P^ persistent.
             fact._drop_internal_phats(level + 1)
+
+    # bottom-up over the nodes at/below the frontier.
+    fact._factor_subtrees(
+        hmatrix.frontier,
+        deadline=deadline,
+        resume_levels=resume_levels,
+        resume_nodes=resume_nodes,
+        on_level=level_done,
+    )
 
     if deadline is not None:
         deadline.check("factorize.reduced")
     with span("factorize.reduced", attrs={"frontier": len(hmatrix.frontier)}):
         fact._build_reduced()
     if config.storage == "low":
-        for level in levels:
-            fact._drop_internal_phats(level)
+        fact._drop_internal_phats()
     fact._factored = True
     fact.stability.warn_if_unstable()
     return fact

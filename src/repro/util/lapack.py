@@ -88,14 +88,15 @@ def lu_factor_batched(
 def lu_solve_batched(lu_piv, B: np.ndarray, *, overwrite_b: bool = False) -> np.ndarray:
     """Locked solve of a factored ``(b, n, n)`` stack against ``(b, n, k)``.
 
+    ``lu_piv`` may also hold sequences of ``b`` per-slice factors.
     Bitwise identical to per-slice :func:`lu_solve` calls (``dgetrs``
     is the routine ``scipy.linalg.lu_solve`` dispatches to).  The
-    output slices are Fortran-strided on purpose: per-node
-    ``lu_solve`` returns F-ordered solutions, and ``np.matmul`` picks
-    layout-dependent GEMM paths whose results differ in the last bit —
-    a C-ordered stack here would silently break bitwise parity with
-    the per-node path two levels downstream.  ``overwrite_b`` solves in
-    place when ``B``'s slices are already Fortran-contiguous float64.
+    output slices are Fortran-strided on purpose: ``lu_solve`` returns
+    F-ordered solutions, and ``np.matmul`` picks layout-dependent GEMM
+    paths whose results differ in the last bit — a C-ordered stack here
+    would silently change the bits of GEMMs two levels downstream.
+    ``overwrite_b`` solves in place when ``B``'s slices are already
+    Fortran-contiguous float64.
     """
     lu, piv = lu_piv
     b, n, k = B.shape
@@ -130,7 +131,7 @@ def lu_factor_solve_batched(
 
     Returns ``(lu, piv, x)`` bitwise identical to
     :func:`lu_factor_batched` followed by :func:`lu_solve_batched`: each
-    slice runs ``dgetrf`` then ``dgetrs``, the routines the per-node
+    slice runs ``dgetrf`` then ``dgetrs``, the routines
     :func:`lu_factor` / :func:`lu_solve` dispatch to.  (The fused
     ``dgesv`` is not used: with more than one OpenBLAS thread its LU can
     differ from ``dgetrf``'s in the last bit.)  Layout and overwrite

@@ -1,16 +1,19 @@
 """Level-synchronous batched numerics: bitwise parity and payload seams.
 
 The invariant under test (docs/PERFORMANCE.md, level batching): the
-shape-batched factorization is purely an *execution strategy*.  Stacked
-GEMM / batched LAPACK over a whole tree level must produce bit-for-bit
-the same factors, solutions, log-determinants, and flop accounting as
-the per-node loops, and every serialization seam — level/node payload
-export, checkpoint round-trips, pickling — must keep working when the
-per-node factors are views into contiguous level stacks.
+factorization has one set of numerics, and how a tree level is grouped
+is purely an *execution strategy*.  A level run as the policy's shape
+groups must produce bit-for-bit the same factors, solutions,
+log-determinants, and flop accounting as the same level run as groups
+of one (``BatchPolicy.worth`` monkeypatched to decline every group), and
+every serialization seam — level/node payload export, checkpoint
+round-trips, pickling — must keep working when the per-node factors are
+views into contiguous level stacks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 
 import numpy as np
@@ -30,9 +33,9 @@ from repro.kernels import GaussianKernel
 from repro.parallel import distributed_factorize, distributed_solve
 from repro.perf.levelbatch import (
     BatchPolicy,
-    batching_enabled,
     group_by_key,
     one_norms_stacked,
+    split_groups,
     stacked_kernel_blocks,
 )
 from repro.skeleton.skeletonize import skeletonize
@@ -62,13 +65,28 @@ def hmat():
     return build_problem()
 
 
+@contextlib.contextmanager
+def grouping(worth):
+    """Run the block with ``BatchPolicy.worth`` replaced by ``worth``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BatchPolicy, "worth", worth)
+        yield
+
+
+def stack_every_group(self, count, item_words, calls_saved=6):
+    return count >= 2
+
+
+def every_node_alone(self, count, item_words, calls_saved=6):
+    return False
+
+
 @pytest.fixture(scope="module")
 def parity(hmat):
-    """(batched, per-node) factorizations of the same H-matrix."""
-    batched = factorize(hmat, 0.7, SolverConfig(level_batch=True))
-    pernode = factorize(hmat, 0.7, SolverConfig(level_batch=False))
-    assert batched._batch_policy is not None, "batched path did not arm"
-    assert pernode._batch_policy is None
+    """(policy-grouped, groups-of-one) factorizations of one H-matrix."""
+    batched = factorize(hmat, 0.7, SolverConfig())
+    with grouping(every_node_alone):
+        pernode = factorize(hmat, 0.7, SolverConfig())
     return batched, pernode
 
 
@@ -89,36 +107,24 @@ class TestGroupingAndPolicy:
         assert not policy.worth(1, 256)
         assert policy.worth(64, 256)
 
-    def test_min_batch_floor(self):
-        policy = BatchPolicy(dispatch_us=10.0, stream_bw_gbs=20.0, min_batch=8)
-        assert not policy.worth(7, 16)
-        assert policy.worth(8, 16)
-
     def test_huge_items_not_worth_stacking(self):
         # copying gigawords to save microseconds of dispatch loses.
         policy = BatchPolicy(dispatch_us=1.0, stream_bw_gbs=10.0)
         assert not policy.worth(2, 10**9)
 
-    def test_env_kill_switch(self, monkeypatch):
-        for off in ("0", "false", "OFF"):
-            monkeypatch.setenv("REPRO_LEVEL_BATCH", off)
-            assert not batching_enabled()
-        monkeypatch.setenv("REPRO_LEVEL_BATCH", "1")
-        assert batching_enabled()
-        monkeypatch.delenv("REPRO_LEVEL_BATCH")
-        assert batching_enabled()  # default on
-
-    def test_env_min_batch_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEVEL_BATCH_MIN", "9")
-        assert BatchPolicy.current().min_batch == 9
-        monkeypatch.setenv("REPRO_LEVEL_BATCH_MIN", "not-a-number")
-        assert BatchPolicy.current().min_batch == 2
-
-    def test_kill_switch_forces_per_node_path(self, hmat, monkeypatch):
-        monkeypatch.setenv("REPRO_LEVEL_BATCH", "0")
-        fact = factorize(hmat, 0.7, SolverConfig(level_batch=True))
-        assert fact._batch_policy is None
-        assert not fact.level_stacks
+    def test_split_groups_splits_declined_buckets(self):
+        items = ["aa", "b", "cc", "d", "ee", "fff"]
+        groups = split_groups(items, len, lambda key, count: key == 2)
+        assert groups == [
+            (2, ["aa", "cc", "ee"]),
+            (1, ["b"]),
+            (1, ["d"]),
+            (3, ["fff"]),
+        ]
+        # a bucket of one is never offered to the policy
+        offered = []
+        split_groups(items, len, lambda key, count: offered.append(count))
+        assert offered == [3, 2]
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +248,7 @@ class TestStackedKernelOps:
 
 
 # ----------------------------------------------------------------------
-# factorization parity: batched vs per-node, bit for bit
+# factorization parity: policy groups vs groups of one, bit for bit
 # ----------------------------------------------------------------------
 
 class TestFactorizationParity:
@@ -293,17 +299,19 @@ class TestFactorizationParity:
 
     def test_parity_without_stability_checks(self, hmat):
         # check_stability=False takes the in-place (overwrite) Z path;
-        # it must still match the per-node run bit for bit.
-        cfg = dict(check_stability=False)
-        b = factorize(hmat, 0.7, SolverConfig(level_batch=True, **cfg))
-        p = factorize(hmat, 0.7, SolverConfig(level_batch=False, **cfg))
+        # it must still match the groups-of-one run bit for bit.
+        cfg = SolverConfig(check_stability=False)
+        b = factorize(hmat, 0.7, cfg)
+        with grouping(every_node_alone):
+            p = factorize(hmat, 0.7, cfg)
         assert np.array_equal(b.solve(U), p.solve(U))
         assert b.slogdet() == p.slogdet()
 
     def test_parity_with_recovery_enabled(self, hmat):
-        cfg = dict(recovery=RecoveryConfig(enabled=True))
-        b = factorize(hmat, 0.7, SolverConfig(level_batch=True, **cfg))
-        p = factorize(hmat, 0.7, SolverConfig(level_batch=False, **cfg))
+        cfg = SolverConfig(recovery=RecoveryConfig(enabled=True))
+        b = factorize(hmat, 0.7, cfg)
+        with grouping(every_node_alone):
+            p = factorize(hmat, 0.7, cfg)
         assert np.array_equal(b.solve(U), p.solve(U))
         assert b.recovery_events == p.recovery_events
 
@@ -322,8 +330,9 @@ class TestFactorizationParity:
             skeleton_config=SKEL_CFG,
         )
         u = rng.standard_normal(1500)
-        b = factorize(h, 0.8, SolverConfig(level_batch=True))
-        p = factorize(h, 0.8, SolverConfig(level_batch=False))
+        b = factorize(h, 0.8, SolverConfig())
+        with grouping(every_node_alone):
+            p = factorize(h, 0.8, SolverConfig())
         assert np.array_equal(b.solve(u), p.solve(u))
         assert b.slogdet() == p.slogdet()
 
@@ -331,13 +340,87 @@ class TestFactorizationParity:
         # fresh H-matrices (fresh block caches) so both runs see the
         # same cache misses; the same floats then imply the same charges.
         with FlopCounter() as fc_b:
-            factorize(build_problem(), 0.7, SolverConfig(level_batch=True))
-        with FlopCounter() as fc_p:
-            factorize(build_problem(), 0.7, SolverConfig(level_batch=False))
+            factorize(build_problem(), 0.7, SolverConfig())
+        with grouping(every_node_alone), FlopCounter() as fc_p:
+            factorize(build_problem(), 0.7, SolverConfig())
         assert fc_b.by_label == fc_p.by_label
         assert fc_b.flops == fc_p.flops
         assert fc_b.mops == fc_p.mops
         assert fc_b.kernel_evals == fc_p.kernel_evals
+
+
+# ----------------------------------------------------------------------
+# one set of numerics: a node's factors do not depend on its grouping
+# ----------------------------------------------------------------------
+
+LAM_INV = 0.5
+
+
+@pytest.fixture(scope="module")
+def hmat_inv():
+    """Adaptive ranks, so shape groups of every size occur."""
+    Y = np.random.default_rng(2017).standard_normal((1024, 3))
+    return build_hmatrix(
+        Y,
+        GaussianKernel(bandwidth=1.0),
+        tree_config=TreeConfig(leaf_size=16, seed=0),
+        skeleton_config=SkeletonConfig(
+            tau=1e-5, max_rank=64, num_samples=192, num_neighbors=8, seed=1
+        ),
+    )
+
+
+def assert_same_factors(a, b, node_ids=None):
+    """Leaf and internal factors of ``a`` equal ``b``'s bit for bit."""
+    leaf_ids = a.leaf_factors if node_ids is None else node_ids & a.leaf_factors.keys()
+    for nid in leaf_ids:
+        fa, fb = a.leaf_factors[nid], b.leaf_factors[nid]
+        assert np.array_equal(fa.lu[0], fb.lu[0]), nid
+        assert np.array_equal(fa.lu[1], fb.lu[1]), nid
+        assert (fa.phat is None) == (fb.phat is None), nid
+        if fa.phat is not None:
+            assert np.array_equal(fa.phat, fb.phat), nid
+        assert fa.rcond == fb.rcond, nid
+    internal_ids = (
+        a.node_factors if node_ids is None else node_ids & a.node_factors.keys()
+    )
+    for nid in internal_ids:
+        fa, fb = a.node_factors[nid], b.node_factors[nid]
+        assert np.array_equal(fa.z_lu[0], fb.z_lu[0]), nid
+        assert np.array_equal(fa.z_lu[1], fb.z_lu[1]), nid
+        assert (fa.phat is None) == (fb.phat is None), nid
+        if fa.phat is not None:
+            assert np.array_equal(fa.phat, fb.phat), nid
+        assert fa.rcond == fb.rcond, nid
+
+
+class TestGroupingInvariance:
+    def test_factors_independent_of_grouping(self, hmat_inv):
+        u = np.random.default_rng(5).standard_normal(1024)
+        with grouping(stack_every_group):
+            stacked = factorize(hmat_inv, LAM_INV, SolverConfig())
+        with grouping(every_node_alone):
+            alone = factorize(hmat_inv, LAM_INV, SolverConfig())
+        assert list(stacked.leaf_factors) == list(alone.leaf_factors)
+        assert list(stacked.node_factors) == list(alone.node_factors)
+        assert_same_factors(stacked, alone)
+        assert np.array_equal(stacked.solve(u), alone.solve(u))
+        assert stacked.slogdet() == alone.slogdet()
+
+    def test_distributed_local_phase_matches_serial(self, hmat_inv):
+        serial = factorize(hmat_inv, LAM_INV, SolverConfig())
+        dist = distributed_factorize(hmat_inv, LAM_INV, 2, backend="thread")
+        for state in dist.states:
+            local = state.local
+            ids = local.leaf_factors.keys() | local.node_factors.keys()
+            assert ids, "rank factored no nodes"
+            assert_same_factors(local, serial, ids)
+
+    def test_low_storage_solve_matches_full(self, hmat_inv):
+        u = np.random.default_rng(6).standard_normal(1024)
+        full = factorize(hmat_inv, LAM_INV, SolverConfig(storage="full"))
+        low = factorize(hmat_inv, LAM_INV, SolverConfig(storage="low"))
+        assert np.array_equal(low.solve(u), full.solve(u))
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +460,7 @@ class TestLevelStacksAndViews:
         # simulate a recovery rung rewriting one child's factor: the
         # slot's view-identity check must detect it and copy instead of
         # returning a stale strided view.
-        fact = factorize(hmat, 0.7, SolverConfig(level_batch=True))
+        fact = factorize(hmat, 0.7, SolverConfig())
         tree = fact.hmatrix.tree
         for nid in fact.node_factors:
             left, right = tree.children(tree.node(nid))
@@ -421,19 +504,14 @@ class TestSerializationSeams:
             lvl: batched.export_level_payload(lvl)
             for lvl in batched.completed_levels
         }
-        resumed = factorize(
-            hmat,
-            0.7,
-            SolverConfig(level_batch=True),
-            resume_levels=payloads,
-        )
+        resumed = factorize(hmat, 0.7, SolverConfig(), resume_levels=payloads)
         assert np.array_equal(resumed.solve(U), batched.solve(U))
         assert resumed.slogdet() == batched.slogdet()
 
     def test_node_payloads_match_per_node_run(self, parity):
-        # the task-DAG executor ships these between worker processes;
-        # views into level stacks must export the same bytes the
-        # per-node path would, and survive a pickle round-trip.
+        # the distributed local phase ships these between ranks; views
+        # into level stacks must export the same bytes a groups-of-one
+        # run does, and survive a pickle round-trip.
         batched, pernode = parity
         for nid, pf in pernode.leaf_factors.items():
             payload = pickle.loads(pickle.dumps(batched.export_node_payload(nid)))
@@ -449,16 +527,15 @@ class TestSerializationSeams:
 
 
 # ----------------------------------------------------------------------
-# checkpoint round-trip with batching on (and across modes)
+# checkpoint round-trip (and across groupings)
 # ----------------------------------------------------------------------
 
-def make_solver(checkpoint_dir=None, level_batch=True):
+def make_solver(checkpoint_dir=None):
     return FastKernelSolver(
         GaussianKernel(bandwidth=1.5),
         tree_config=TREE_CFG,
         skeleton_config=SKEL_CFG,
         solver_config=SolverConfig(
-            level_batch=level_batch,
             resilience=ResilienceConfig(
                 checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None
             ),
@@ -479,24 +556,17 @@ class TestCheckpointRoundTrip:
         np.testing.assert_allclose(second.solve(U), w_base, rtol=0, atol=1e-12)
 
     def test_checkpoint_portable_across_batching_modes(self, tmp_path):
-        # level_batch is an execution strategy, not part of the problem:
-        # a snapshot written by the batched run must resume under the
-        # per-node path (and agree bitwise, since the factors are the
-        # same floats).
-        first = make_solver(tmp_path / "cp", level_batch=True).fit(X)
+        # grouping is an execution strategy, not part of the problem: a
+        # snapshot written by the policy-grouped run must resume when
+        # every node runs alone (and agree bitwise, since the factors
+        # are the same floats).
+        first = make_solver(tmp_path / "cp").fit(X)
         first.factorize(0.5)
         w = first.solve(U)
-        second = make_solver(tmp_path / "cp", level_batch=False).fit(X)
-        second.factorize(0.5)
+        with grouping(every_node_alone):
+            second = make_solver(tmp_path / "cp").fit(X)
+            second.factorize(0.5)
         assert np.array_equal(second.solve(U), w)
-
-    def test_level_batch_excluded_from_fingerprint(self):
-        from repro.resilience import config_fingerprint
-
-        k = GaussianKernel(bandwidth=1.5)
-        assert config_fingerprint(
-            X, k, SolverConfig(level_batch=True)
-        ) == config_fingerprint(X, k, SolverConfig(level_batch=False))
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +576,10 @@ class TestCheckpointRoundTrip:
 class TestSkeletonizeParity:
     def test_batched_skeletons_bitwise(self):
         tree = BallTree(X, TREE_CFG)
-        on = skeletonize(tree, KERNEL, SKEL_CFG, level_batch=True)
-        off = skeletonize(tree, KERNEL, SKEL_CFG, level_batch=False)
+        with grouping(stack_every_group):
+            on = skeletonize(tree, KERNEL, SKEL_CFG)
+        with grouping(every_node_alone):
+            off = skeletonize(tree, KERNEL, SKEL_CFG)
         assert list(on.skeletons) == list(off.skeletons)
         for nid, a in on.skeletons.items():
             b = off.skeletons[nid]
@@ -518,7 +590,7 @@ class TestSkeletonizeParity:
 
 
 # ----------------------------------------------------------------------
-# distributed / backend seam (runs under REPRO_VMPI_BACKEND=process in CI)
+# distributed / backend seam (runs under REPRO_VMPI_BACKEND=socket in CI)
 # ----------------------------------------------------------------------
 
 class TestDistributedSeam:
@@ -537,7 +609,7 @@ class TestDistributedSeam:
 class TestFloat32Regression:
     def test_float32_input_through_batched_path(self):
         X32 = X.astype(np.float32)
-        solver = make_solver()  # level_batch=True
+        solver = make_solver()
         solver.fit(X32).factorize(0.5)
         w = solver.solve(U)
         assert w.dtype == np.float64 and np.all(np.isfinite(w))

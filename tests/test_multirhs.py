@@ -1,6 +1,6 @@
 """Multi-RHS (BLAS-3) solve paths against the column-by-column reference.
 
-The ISSUE's end-to-end batching contract: for every factorization
+The end-to-end batching contract: for every factorization
 method, ``solve(B)`` with a ``(N, k)`` panel must match solving each
 column separately — exactly for the direct methods (same LU, GEMM vs k
 GEMVs) and to the Krylov tolerance for the hybrid's lockstep block
@@ -51,25 +51,6 @@ class TestFactorizationPanels:
         scale = max(1.0, np.abs(W_cols).max())
         # hybrid: both sides are GMRES solutions at tol=1e-12.
         assert np.abs(W - W_cols).max() < 1e-8 * scale
-
-    def test_hybrid_batched_matches_percolumn_config(self, hmatrix_restricted):
-        """batch_rhs=False reproduces the seed's per-column loop."""
-        n = hmatrix_restricted.n_points
-        B = RNG.standard_normal((n, K_RHS))
-        gm = GMRESConfig(tol=1e-12, max_iters=400)
-        batched = factorize(
-            hmatrix_restricted, 0.5,
-            SolverConfig(method="hybrid", gmres=gm, batch_rhs=True),
-        )
-        seedlike = factorize(
-            hmatrix_restricted, 0.5,
-            SolverConfig(method="hybrid", gmres=gm, batch_rhs=False),
-        )
-        W_b = batched.solve(B)
-        W_s = seedlike.solve(B)
-        assert len(batched.reduced_iterations) == len(seedlike.reduced_iterations)
-        scale = max(1.0, np.abs(W_s).max())
-        assert np.abs(W_b - W_s).max() < 1e-8 * scale
 
 
 class TestBatchedGMRES:

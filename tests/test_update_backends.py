@@ -1,32 +1,38 @@
-"""update() parity across execution backends and the level-batch switch.
+"""update() parity across execution backends and level groupings.
 
 An incrementally updated model must be indistinguishable from a
 from-scratch rebuild no matter how the downstream factorization runs:
-serial, level-batched or per-node (``REPRO_LEVEL_BATCH``), and
-distributed over the thread / socket vMPI backends — with and
-without seeded chaos on the wire.
+serial with the policy's level groups or every node as a group of one
+(``BatchPolicy.worth`` monkeypatched), and distributed over the thread /
+socket vMPI backends — with and without seeded chaos on the wire.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import SkeletonConfig, SolverConfig, TreeConfig
+from repro.config import SkeletonConfig, TreeConfig
 from repro.core.solver import FastKernelSolver
 from repro.kernels import GaussianKernel
 from repro.parallel.dist_solver import distributed_factorize, distributed_solve
 from repro.parallel.vmpi import FaultPlan
+from repro.perf.levelbatch import BatchPolicy
 
 N, D, LAM = 1024, 4, 5.0
 
 
-def build_solver(X, *, level_batch=True):
+def groups_of_one(monkeypatch, switch):
+    """``switch == "0"`` runs every node as a group of one."""
+    if switch == "0":
+        monkeypatch.setattr(BatchPolicy, "worth", lambda self, *a, **k: False)
+
+
+def build_solver(X):
     solver = FastKernelSolver(
         GaussianKernel(bandwidth=8.0),
         tree_config=TreeConfig(leaf_size=64, seed=1),
         skeleton_config=SkeletonConfig(
             tau=1e-12, num_samples=1024, num_neighbors=64, seed=2
         ),
-        solver_config=SolverConfig(level_batch=level_batch),
     )
     solver.fit(X)
     return solver
@@ -106,7 +112,7 @@ class TestLevelBatchSwitch:
         self, data, monkeypatch, switch
     ):
         X, Xi, u = data
-        monkeypatch.setenv("REPRO_LEVEL_BATCH", switch)
+        groups_of_one(monkeypatch, switch)
         solver = build_solver(X)
         solver.factorize(LAM)
         solver.update(X_insert=Xi)
@@ -118,8 +124,8 @@ class TestLevelBatchSwitch:
     def test_batched_and_unbatched_updates_bitwise_equal(self, data, monkeypatch):
         X, Xi, u = data
         ws = {}
-        for switch in ("0", "1"):
-            monkeypatch.setenv("REPRO_LEVEL_BATCH", switch)
+        for switch in ("1", "0"):
+            groups_of_one(monkeypatch, switch)
             solver = build_solver(X)
             solver.factorize(LAM)
             solver.update(X_insert=Xi)
