@@ -10,7 +10,8 @@ port, and then
 2. the health endpoint must report ``repro.serve/v1`` with coalesced
    batches > 0 and a valid ``repro.telemetry/v1`` blob per resident;
 3. shutdown over the wire must exit the daemon cleanly (code 0) and
-   leave the ``--health-out`` artifact behind for CI upload.
+   leave the ``--health-out`` blob behind, still reporting coalesced
+   batches > 0.
 
 Run: ``PYTHONPATH=src python scripts/serve_smoke.py``
 """

@@ -155,9 +155,6 @@ class RecoveryConfig:
     lambda_bump0:
         First bump, relative to the 1-norm of the leaf block; each
         further attempt multiplies it by ``lambda_bump_factor``.
-    allow_frontier_fallback / allow_iterative_fallback:
-        Gate rungs 2 and 3.  With both off, exhaustion raises
-        :class:`~repro.exceptions.RecoveryExhaustedError`.
     solve_residual_limit:
         :func:`repro.solvers.recovery.robust_solve` escalates to the
         iterative rung when the verified relative residual of a solve
@@ -169,8 +166,6 @@ class RecoveryConfig:
     max_lambda_bumps: int = 3
     lambda_bump0: float = 1e-12
     lambda_bump_factor: float = 100.0
-    allow_frontier_fallback: bool = True
-    allow_iterative_fallback: bool = True
     solve_residual_limit: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -203,9 +198,9 @@ class ResilienceConfig:
     With ``degrade`` on (the default), running out of budget steps down
     a ladder instead of raising:
 
-    1. **coarsen** — skeletonization multiplies ``tau`` by
-       ``coarsen_tau_factor`` each time deadline pressure crosses a
-       threshold (first at ``coarsen_pressure``);
+    1. **coarsen** — skeletonization multiplies ``tau`` by 10 each
+       time deadline pressure crosses a threshold (first at half the
+       budget; :class:`repro.resilience.CoarsenPolicy`);
     2. **freeze-frontier** — factorization stops at the last completed
        level and the solve finishes with the hybrid GMRES path on the
        frozen frontier;
@@ -231,24 +226,12 @@ class ResilienceConfig:
     degrade:
         Step down the degradation ladder under budget pressure instead
         of raising.
-    coarsen_pressure:
-        Fraction of the budget at which skeletonization starts
-        coarsening ``tau`` (rung 1).
-    coarsen_tau_factor:
-        Multiplier applied to ``tau`` per coarsening step.
-    freeze_frontier_cap:
-        Rung 2 refuses to freeze a frontier shallower than this level
-        (too-shallow frontiers make the reduced system as big as the
-        problem); below the cap it escalates straight to rung 3.
     """
 
     deadline_seconds: float | None = None
     work_budget: int | None = None
     checkpoint_dir: str | None = None
     degrade: bool = True
-    coarsen_pressure: float = 0.5
-    coarsen_tau_factor: float = 10.0
-    freeze_frontier_cap: int = 1
 
     def __post_init__(self) -> None:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -259,16 +242,6 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"work_budget must be >= 1; got {self.work_budget}"
             )
-        if not (0.0 < self.coarsen_pressure < 1.0):
-            raise ConfigurationError(
-                f"coarsen_pressure must be in (0, 1); got {self.coarsen_pressure}"
-            )
-        if self.coarsen_tau_factor <= 1.0:
-            raise ConfigurationError(
-                f"coarsen_tau_factor must be > 1; got {self.coarsen_tau_factor}"
-            )
-        if self.freeze_frontier_cap < 1:
-            raise ConfigurationError("freeze_frontier_cap must be >= 1")
 
     @property
     def active(self) -> bool:

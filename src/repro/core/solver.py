@@ -131,12 +131,9 @@ class FastKernelSolver:
         return Deadline(res.deadline_seconds, budget=budget)
 
     def _coarsen_policy(self) -> CoarsenPolicy | None:
-        res = self.solver_config.resilience
-        if self._deadline is None or not res.degrade:
+        if self._deadline is None or not self.solver_config.resilience.degrade:
             return None
-        return CoarsenPolicy(
-            pressure=res.coarsen_pressure, tau_factor=res.coarsen_tau_factor
-        )
+        return CoarsenPolicy()
 
     def _fingerprint(self) -> str:
         return config_fingerprint(

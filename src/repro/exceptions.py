@@ -21,7 +21,6 @@ __all__ = [
     "RankCrashError",
     "RankHangError",
     "RankLostError",
-    "RecoveryExhaustedError",
     "ServeUnavailableError",
     "DeadlineExceededError",
     "BudgetExhaustedError",
@@ -204,13 +203,4 @@ class ResidentEvictedError(ReproError, KeyError):
     callers treating "not resident" generically keep working; the
     daemon maps it to status ``"evicted"`` so clients can distinguish
     "reload and retry" from a plain unknown-model usage error.
-    """
-
-
-class RecoveryExhaustedError(StabilityError):
-    """Every rung of the numerical recovery ladder failed.
-
-    Raised only when recovery is enabled and the λ-bump, frontier
-    fallback, and iterative fallback stages all failed to produce a
-    usable solve (see :mod:`repro.solvers.recovery`).
     """

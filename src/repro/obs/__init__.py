@@ -14,7 +14,7 @@ Everything now publishes into one process-wide pair:
   (sampled) per-tile GSKS work (:mod:`repro.obs.trace`).
 
 Exports: :func:`telemetry_snapshot` (JSON blob, embedded by
-``report.py`` and ``benchmarks/bench_perf.py``) and
+``report.py`` and the serving health endpoint) and
 :func:`render_trace` (the ``repro trace`` CLI).  Solver warnings go
 through :func:`emit_warning` — rate-limited logging plus metric counts
 plus a real :func:`warnings.warn`.  See ``docs/OBSERVABILITY.md``.

@@ -8,8 +8,8 @@ paths that never touched the registry explicitly.
 
 The blob's shape (``schema: repro.telemetry/v1``) is documented in
 ``docs/OBSERVABILITY.md``; ``report.py`` embeds it under a
-``"telemetry"`` key and ``benchmarks/bench_perf.py`` appends it to
-``BENCH_perf.json``.
+``"telemetry"`` key and the serving health endpoint reports one per
+resident model.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.solvers.factorization import HierarchicalFactorization
 from repro.solvers.gmres import gmres
 from repro.solvers.recovery import SolverHealth
 from repro.tree.node import Node
+from repro.util.validation import check_vector
 
 __all__ = ["DistributedHybrid", "distributed_hybrid_factorize", "distributed_hybrid_solve"]
 
@@ -279,7 +280,7 @@ def distributed_hybrid_solve(
 
     ``backend=None`` reuses the backend the factorization ran on.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = check_vector(u, dist.hmatrix.n_points)
     if u.ndim != 1:
         raise ValueError("distributed hybrid solve expects a single RHS")
     pieces, stats = run_spmd(

@@ -32,6 +32,7 @@ from repro.solvers.factorization import HierarchicalFactorization
 from repro.solvers.recovery import SolverHealth
 from repro.util import lapack
 from repro.util.flops import count_flops
+from repro.util.validation import check_vector
 
 __all__ = [
     "DistributedFactorization",
@@ -492,7 +493,7 @@ def distributed_solve(
     """
     if not dist.states:
         raise NotFactorizedError("distributed factorization has no rank states")
-    u = np.asarray(u, dtype=np.float64)
+    u = check_vector(u, dist.hmatrix.n_points)
     pieces, stats = run_spmd(
         _solve_worker,
         dist.n_ranks,

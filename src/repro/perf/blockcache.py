@@ -18,7 +18,8 @@ choice into a per-block decision:
   previously serialized on one H-matrix cache lock) while concurrent
   misses on the *same* key compute the block exactly once;
 * hit/miss/eviction/rejection counters and a peak-storage high-water
-  mark feed the benchmark suite (``benchmarks/bench_perf.py``).
+  mark feed the telemetry gauges and the repository benchmark's
+  ``perf.cache_*`` metrics (``perfbench/run.py``).
 
 Keys are tuples whose first element is a namespace token (one per
 H-matrix); :meth:`BlockCache.drop_prefix` releases a namespace when its

@@ -84,9 +84,8 @@ def resilient_factorize(
     ``checkpoint`` written per completed level.  When the budget runs
     out mid-factorization and ``config.resilience.degrade`` is on:
 
-    * **rung 2 (freeze-frontier)** — if at least one level finished at
-      or below ``resilience.freeze_frontier_cap``, the completed
-      factors are transplanted onto
+    * **rung 2 (freeze-frontier)** — if at least one level below the
+      root finished, the completed factors are transplanted onto
       :func:`freeze_frontier_at_level`'s frozen H-matrix and the cheap
       hybrid reduced stage finishes the factorization (no per-node work
       remains; the finishing stage runs on a fresh unlimited deadline —
@@ -152,7 +151,9 @@ def resilient_factorize(
     finish = Deadline()  # unlimited: the remaining work is the cheap tail
     if fact0 is not None and fact0.completed_levels:
         cut = min(fact0.completed_levels)
-        if cut >= res.freeze_frontier_cap:
+        # a frontier at the root (level 0) is the whole problem: the
+        # reduced system would be as big as the original.
+        if cut >= 1:
             frozen = freeze_frontier_at_level(hmatrix, cut)
             hybrid = replace(config, method="hybrid")
             transplant = {

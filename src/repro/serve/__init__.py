@@ -11,7 +11,8 @@ factorized solvers *resident* and amortizing them across requests:
   checkpoint directories, bounded by a BlockCache-style word budget.
 * :class:`RequestCoalescer` — stacks concurrent single-RHS requests
   into one batched ``gmres_batched`` solve per window and scatters the
-  columns back (BENCH_perf.json: 3–5x over per-request solves).
+  columns back (``benchmarks/test_ext_serving.py`` asserts >= 2x over
+  per-request solves).
 * :class:`SolverService` — admission control (``max_pending``,
   per-request :class:`~repro.resilience.Deadline`/work budgets from
   :class:`ServeConfig`), the solve path, and the ``repro.serve/v1``

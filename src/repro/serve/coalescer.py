@@ -1,8 +1,9 @@
 """Request coalescing: many concurrent single-RHS solves, one batched call.
 
-``BENCH_perf.json`` showed the batched multi-RHS path (one ``(N, k)``
-panel through ``gmres_batched``) 3–5x faster than ``k`` separate
-single-RHS solves.  A serving daemon is exactly the
+The batched multi-RHS path (one ``(N, k)`` panel through
+``gmres_batched``) is several times faster than ``k`` separate
+single-RHS solves (``benchmarks/test_ext_serving.py`` measures it end
+to end through the service).  A serving daemon is exactly the
 workload that can exploit it: many independent clients ask for one
 column each, at the same time, against the same resident model.
 :class:`RequestCoalescer` collects those requests for a small window,

@@ -28,11 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.exceptions import (
-    NotFactorizedError,
-    RecoveryExhaustedError,
-    StabilityError,
-)
+from repro.exceptions import NotFactorizedError, StabilityError
 from repro.hmatrix.hmatrix import HMatrix
 from repro.solvers.factorization import HierarchicalFactorization, factorize
 from repro.solvers.gmres import gmres, gmres_batched
@@ -248,16 +244,10 @@ def robust_factorize(
     :mod:`repro.resilience`).  Fallback rungs keep the deadline but not
     the checkpoint hooks — their factors belong to a different frontier
     and must not overwrite the primary factorization's levels.
-
-    Raises
-    ------
-    RecoveryExhaustedError
-        When every allowed rung failed.
     """
     config = config or SolverConfig()
     if not config.recovery.enabled:
         config = replace(config, recovery=replace(config.recovery, enabled=True))
-    rec = config.recovery
     health = health or SolverHealth()
 
     try:
@@ -276,33 +266,26 @@ def robust_factorize(
         return fact, health
     except StabilityError as exc:
         health.record("escalation", rung="factorize", error=repr(exc))
-        first_error = exc
 
-    if rec.allow_frontier_fallback:
-        lowered = descend_frontier(hmatrix)
-        target = lowered if lowered is not None else hmatrix
-        hybrid_config = replace(config, method="hybrid")
-        try:
-            fact = factorize(target, lam, hybrid_config, deadline=deadline)
-            health.ingest_factorization(fact)
-            health.record(
-                "frontier_fallback",
-                descended=lowered is not None,
-                frontier_size=len(target.frontier),
-            )
-            health.final_path = "hybrid"
-            return fact, health
-        except StabilityError as exc:
-            health.record("escalation", rung="frontier_fallback", error=repr(exc))
+    lowered = descend_frontier(hmatrix)
+    target = lowered if lowered is not None else hmatrix
+    hybrid_config = replace(config, method="hybrid")
+    try:
+        fact = factorize(target, lam, hybrid_config, deadline=deadline)
+        health.ingest_factorization(fact)
+        health.record(
+            "frontier_fallback",
+            descended=lowered is not None,
+            frontier_size=len(target.frontier),
+        )
+        health.final_path = "hybrid"
+        return fact, health
+    except StabilityError as exc:
+        health.record("escalation", rung="frontier_fallback", error=repr(exc))
 
-    if rec.allow_iterative_fallback:
-        health.record("iterative_fallback")
-        health.final_path = "iterative"
-        return IterativeFallback(hmatrix, lam, config), health
-
-    raise RecoveryExhaustedError(
-        f"all recovery rungs failed or were disabled: {first_error}"
-    ) from first_error
+    health.record("iterative_fallback")
+    health.final_path = "iterative"
+    return IterativeFallback(hmatrix, lam, config), health
 
 
 def robust_solve(

@@ -7,7 +7,12 @@ from repro.config import SkeletonConfig, SolverConfig, TreeConfig
 from repro.exceptions import ConfigurationError
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
-from repro.parallel import distributed_factorize, distributed_solve
+from repro.parallel import (
+    distributed_factorize,
+    distributed_hybrid_factorize,
+    distributed_hybrid_solve,
+    distributed_solve,
+)
 from repro.solvers import factorize
 
 RNG = np.random.default_rng(10)
@@ -112,3 +117,58 @@ class TestValidation:
         )
         with pytest.raises((ConfigurationError, RuntimeError)):
             distributed_factorize(h, 0.5, 2)
+
+
+class TestMalformedRightHandSide:
+    """Both distributed solves reject what the serial solve rejects.
+
+    Each rank slices ``u[lo:hi]`` from the tree-order vector, so the
+    shape and finiteness of ``u`` must be checked before the ranks
+    launch: a rank cannot see that the vector is too long, and a NaN
+    would come back as a non-finite answer.
+    """
+
+    N = 512
+
+    @pytest.fixture(scope="class")
+    def handles(self):
+        X = np.random.default_rng(3).standard_normal((self.N, 3))
+
+        def build(level_restriction):
+            return build_hmatrix(
+                X,
+                GaussianKernel(bandwidth=1.0),
+                tree_config=TreeConfig(leaf_size=32, seed=1),
+                skeleton_config=SkeletonConfig(
+                    tau=1e-7, max_rank=48, num_samples=128, num_neighbors=8,
+                    seed=2, level_restriction=level_restriction,
+                ),
+            )
+
+        return {
+            "nlogn": (
+                distributed_factorize(build(0), 0.5, 2, backend="thread"),
+                distributed_solve,
+            ),
+            "hybrid": (
+                distributed_hybrid_factorize(
+                    build(2), 0.5, 2, SolverConfig(method="hybrid"),
+                    backend="thread",
+                ),
+                distributed_hybrid_solve,
+            ),
+        }
+
+    @pytest.mark.parametrize("method", ["nlogn", "hybrid"])
+    @pytest.mark.parametrize("bad", ["too_long", "nan", "short_block"])
+    def test_rejected_like_the_serial_solve(self, handles, method, bad):
+        dist, solve = handles[method]
+        u = np.random.default_rng(4).standard_normal(self.N)
+        if bad == "too_long":
+            u = np.concatenate([u, np.ones(7)])
+        elif bad == "nan":
+            u[100] = np.nan
+        else:
+            u = np.ones((self.N - 12, 2))
+        with pytest.raises(ConfigurationError):
+            solve(dist, u)

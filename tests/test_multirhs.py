@@ -51,6 +51,7 @@ class TestFactorizationPanels:
         scale = max(1.0, np.abs(W_cols).max())
         # hybrid: both sides are GMRES solutions at tol=1e-12.
         assert np.abs(W - W_cols).max() < 1e-8 * scale
+        assert fact.residual(B[:, 0], W[:, 0]) < 1e-6
 
 
 class TestBatchedGMRES:

@@ -1,11 +1,14 @@
 """Incremental updates (insert/delete, lambda/bandwidth sweeps) vs rebuilds.
 
-ISSUE 10 acceptance: after inserting 1% clustered points into N=4096,
+Acceptance: after inserting 1% clustered points into N=4096,
 ``update()`` must match a from-scratch rebuild to 1e-10 while
-refactorizing fewer than 25% of the nodes.  The wide-bandwidth /
+refactorizing fewer than 25% of the nodes, and a five-value lambda
+sweep must run at least 3x faster than five rebuilds.  The wide-bandwidth /
 large-sample recipe below is what makes 1e-10 achievable — the ASKIT
 approximation error, not the update machinery, is the accuracy floor.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.core.solver import FastKernelSolver
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.kernels import GaussianKernel, MaternKernel
 from repro.obs import registry
+from repro.perf import configure_default_cache
 from repro.resilience.checkpoint import Checkpoint
 
 RNG = np.random.default_rng(42)
@@ -81,6 +85,38 @@ class TestAcceptanceParity:
         assert delta == report.nodes_refactored
         # parity with the from-scratch rebuild
         assert rel_err(solver.solve(u), fresh.solve(u)) < 1e-10
+
+    def test_lambda_sweep_three_times_faster_than_rebuilds(self):
+        """Five ``update(lam=)`` refits take at most a third of the time
+        of five fresh builds: a refit keeps the tree, the skeletons and
+        the cached kernel blocks that a build (cold cache) makes anew.
+        """
+        lambdas = (0.1, 0.5, 1.0, 5.0, 25.0)
+        X = np.random.default_rng(2017).standard_normal((1024, 3))
+        configure_default_cache()
+        solver = make_solver(X, num_samples=1024)
+        solver.factorize(5.0)
+        solver.update(X_insert=clustered_inserts(X, len(X) // 100))
+
+        modes = []
+        t0 = time.perf_counter()
+        for lam in lambdas:
+            solver.update(lam=lam)
+            modes.append(solver.last_update.mode)
+        t_sweep = time.perf_counter() - t0
+
+        t_rebuild = 0.0
+        for lam in lambdas:
+            configure_default_cache()
+            t0 = time.perf_counter()
+            make_solver(solver._X, num_samples=1024).factorize(lam)
+            t_rebuild += time.perf_counter() - t0
+
+        assert modes == ["lambda"] * len(lambdas)
+        assert t_sweep <= t_rebuild / 3.0, (
+            f"sweep {t_sweep:.3f}s vs rebuilds {t_rebuild:.3f}s "
+            f"({t_rebuild / t_sweep:.2f}x, contract >= 3x)"
+        )
 
 
 # ---------------------------------------------------------------------------
