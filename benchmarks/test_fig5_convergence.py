@@ -76,7 +76,7 @@ def test_fig5_row(benchmark, row):
     _lines.append(f"-- {nums}: {name} stand-in, h={h}, sigma1(K~)={sigma1:.1f}")
     header = "   " + "kappa".ljust(7) + "method".ljust(9) + "  " + " ".join(
         f"it={c}".rjust(7) for c in CHECKPOINTS
-    ) + "   final-resid  detect"
+    ) + "   final-resid  Z            detect"
     _lines.append(header)
 
     for frac, kappa_label in KAPPAS:
@@ -109,7 +109,8 @@ def test_fig5_row(benchmark, row):
             "   " + kappa_label.ljust(7) + "hybrid".ljust(9) + "  "
             + _checkpoint_series(hybrid_hist)
             + f"   {hybrid_res:.1e}"
-            + ("      D ill-cond" if detected else "")
+            + f"      {fact.reduced_operator:<12}"
+            + (" D ill-cond" if detected else "")
         )
         _summary.append(
             (nums, name, kappa_label, plain.final_residual, hybrid_res, detected)
@@ -143,7 +144,9 @@ def test_fig5_emit(benchmark):
         f"L={LEVEL}, tau=1e-5)",
         "residual checkpoints vs Krylov iteration (x-axis; '*' = converged/",
         "stopped earlier).  GMRES = unpreconditioned with ASKIT matvec",
-        "(paper blue); hybrid = Algorithm II.6 (paper orange).",
+        "(paper blue); hybrid = Algorithm II.6 (paper orange).  Z: the",
+        "hybrid's reduced operator after its solve, matrix-free or assembled",
+        "once the columns applied cost one assembly (docs/PERFORMANCE.md).",
         "",
         *_lines,
         "paper shape: hybrid curves drop steeply at every kappa; plain",

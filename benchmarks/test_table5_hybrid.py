@@ -80,7 +80,7 @@ def test_table5_case(benchmark, case):
         ksp = sum(fact.reduced_iterations) if method == "hybrid" else 0
         _rows.append(
             (nums, name, method, t_askit, tf, fc_f.flops / 1e9, ts,
-             fc_s.flops / 1e9, res, ksp)
+             fc_s.flops / 1e9, res, ksp, fact.reduced_operator)
         )
 
     direct_row = _rows[-2]
@@ -100,27 +100,30 @@ def test_table5_emit(benchmark):
     benchmark(lambda: None)
     if not _rows:
         pytest.skip("run the per-dataset benchmarks first")
-    widths = [7, 9, 7, 7, 7, 8, 9, 8, 9, 5]
+    widths = [7, 9, 7, 7, 7, 8, 9, 8, 9, 5, 11]
     lines = [
         f"TABLE V -- hybrid vs direct, level restriction L={LEVEL}, "
         f"tau=1e-5, smax=256, N={N}",
         "",
         fmt_row(
             ["#", "dataset", "method", "ASKIT", "Tf(s)", "GF-f", "Ts(s)",
-             "GF-s", "resid", "KSP"],
+             "GF-s", "resid", "KSP", "Z"],
             widths,
         ),
     ]
-    for nums, name, method, ta, tf, gf, ts, gs, res, ksp in _rows:
+    for nums, name, method, ta, tf, gf, ts, gs, res, ksp, op in _rows:
         lines.append(
             fmt_row(
                 [nums, name, method, f"{ta:.1f}", f"{tf:.2f}", f"{gf:.1f}",
-                 f"{ts:.3f}", f"{gs:.2f}", f"{res:.0e}", ksp or "-"],
+                 f"{ts:.3f}", f"{gs:.2f}", f"{res:.0e}", ksp or "-", op],
                 widths,
             )
         )
     lines += [
         "",
+        "Z: how the solve applied the frontier system -- LU (direct) or,",
+        "for the hybrid, matrix-free until the columns applied cost one",
+        "assembly of Z (docs/PERFORMANCE.md, 'Assembled reduced operator').",
         "paper shape: hybrid Tf ~ 1/2 direct Tf; hybrid Ts ~ 20x direct Ts",
         "with 27-98 GMRES iterations to r ~ 1e-3/1e-4 (direct: r ~ 1e-10+);",
         "at larger L the direct method becomes infeasible (memory for Z",

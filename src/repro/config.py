@@ -268,7 +268,8 @@ class SolverConfig:
           of the coalesced reduced system (paper section II-C; equals
           "nlogn" when the frontier is the root's children).
         * ``"hybrid"`` — partial factorization below the frontier +
-          matrix-free GMRES on ``(I + V W)`` (Algorithm II.6).
+          GMRES on ``(I + V W)`` (Algorithm II.6), matrix-free until
+          its applications have cost one assembly of the matrix.
     summation:
         Kernel-summation strategy for off-diagonal blocks during solves
         ("precomputed" / "reevaluate" / "fused"), Table IV.

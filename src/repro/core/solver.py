@@ -578,6 +578,7 @@ class FastKernelSolver:
         out["cache_evictions"] = cache.evictions
         if self.factorization is not None:
             out["factor_storage_words"] = self.factorization.storage_words()
+            out["reduced_operator"] = self.factorization.reduced_operator
             out["min_rcond"] = self.factorization.stability.min_rcond
             out["stable"] = self.factorization.stability.is_stable
         return out

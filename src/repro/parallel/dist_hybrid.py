@@ -18,7 +18,12 @@ operators:
 
 GMRES itself runs redundantly on every rank (identical deterministic
 arithmetic on identical reduced vectors), the standard practice for
-small reduced systems.
+small reduced systems.  A ``(N, k)`` panel is one launch running one
+lockstep GMRES (one AllReduce of an ``(S, k)`` block per iteration)
+where ``k`` single solves would be ``k`` launches.  The ranks report
+nothing themselves: rank 0's convergence outcome travels back with its
+piece and the caller warns once per unconverged column, as the serial
+solve does.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import GMRESConfig, SolverConfig
-from repro.exceptions import ConfigurationError
+from repro.config import SolverConfig
+from repro.exceptions import ConfigurationError, ConvergenceWarning
 from repro.hmatrix.hmatrix import HMatrix
 from repro.kernels.summation import KernelSummation, SummationMethod
+from repro.obs import emit_warning
 from repro.parallel.vmpi import CommStats, Communicator, FaultPlan, run_spmd
 from repro.solvers.factorization import HierarchicalFactorization
-from repro.solvers.gmres import gmres
+from repro.solvers.gmres import gmres_unreported
 from repro.solvers.recovery import SolverHealth
 from repro.tree.node import Node
 from repro.util.validation import check_vector
@@ -165,7 +171,7 @@ def _apply_v_dist(
 
 def _apply_what_local(state: _HybridRankState, y: np.ndarray) -> np.ndarray:
     """Algorithm II.7: W^ y restricted to my point slice (purely local)."""
-    w = np.zeros(state.hi - state.lo)
+    w = np.zeros((state.hi - state.lo,) + y.shape[1:])
     for f in state.my_frontier:
         phat = state.local._phat(f)
         w[f.lo - state.lo : f.hi - state.lo] = phat @ y[state.slices[f.id]]
@@ -174,9 +180,10 @@ def _apply_what_local(state: _HybridRankState, y: np.ndarray) -> np.ndarray:
 
 def _hybrid_solve_worker(
     comm: Communicator, dist: DistributedHybrid, u: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[tuple[bool, int, float]]]:
+    """My piece of the solution and, per column, GMRES's convergence facts
+    ``(converged, iterations, final relative residual)``."""
     state = dist.states[comm.rank]
-    tree = dist.hmatrix.tree
     u_mine = u[state.lo : state.hi]
 
     # D^{-1} u on my frontier subtrees (DistSolve's local case).
@@ -195,13 +202,10 @@ def _hybrid_solve_worker(
         w_mine = _apply_what_local(state, y)
         return y + _apply_v_dist(comm, state, w_mine)
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = gmres(reduced_matvec, t, dist.config.gmres)
-
-    return x0 - _apply_what_local(state, res.x)
+    results = gmres_unreported(reduced_matvec, t.reshape(len(t), -1), dist.config.gmres)
+    y = np.stack([res.x for res in results], axis=1).reshape(t.shape)
+    facts = [(res.converged, res.n_iters, res.final_residual) for res in results]
+    return x0 - _apply_what_local(state, y), facts
 
 
 def distributed_hybrid_factorize(
@@ -278,12 +282,16 @@ def distributed_hybrid_solve(
 ) -> tuple[np.ndarray, CommStats]:
     """HybridSolve (Algorithm II.6) across the virtual ranks.
 
+    ``u`` may be (N,) or (N, k); a panel is one lockstep GMRES solve.
     ``backend=None`` reuses the backend the factorization ran on.
+
+    Warns
+    -----
+    ConvergenceWarning
+        Once per column whose GMRES stopped short of ``config.gmres.tol``.
     """
     u = check_vector(u, dist.hmatrix.n_points)
-    if u.ndim != 1:
-        raise ValueError("distributed hybrid solve expects a single RHS")
-    pieces, stats = run_spmd(
+    outs, stats = run_spmd(
         _hybrid_solve_worker,
         dist.n_ranks,
         dist,
@@ -292,4 +300,15 @@ def distributed_hybrid_solve(
         backend=backend if backend is not None else dist.backend,
     )
     dist.health.ingest_comm(stats)
-    return np.concatenate(pieces), stats
+    tol = dist.config.gmres.tol
+    for column, (converged, n_iters, residual) in enumerate(outs[0][1]):
+        if not converged:
+            emit_warning(
+                "gmres.unconverged",
+                f"distributed hybrid GMRES stopped column {column} after "
+                f"{n_iters} iterations with relative residual {residual:.3e} "
+                f"(tol {tol:.1e})",
+                ConvergenceWarning,
+                stacklevel=2,
+            )
+    return np.concatenate([piece for piece, _facts in outs]), stats

@@ -8,7 +8,8 @@
   - ``"nlog2n"``: the INV-ASKIT [36] baseline that re-solves on every
     subtree — O(N log^2 N) work, *identical factors* up to roundoff;
   - ``"hybrid"``: partial factorization up to the skeletonization
-    frontier + matrix-free GMRES on the reduced system (Algorithm II.6).
+    frontier + GMRES on the reduced system (Algorithm II.6), matrix-free
+    until its applications have cost one assembly of the system.
 
 * :mod:`repro.solvers.gmres` — the Krylov solver (one lockstep core,
   batched CGS2).

@@ -9,10 +9,13 @@ The factorization processes the tree bottom-up (Algorithm II.2):
   *telescope* ``P^_alpha`` from the children via eq. (10) — no subtree
   traversal, which is what removes the extra log factor;
 * **above the frontier** — one coalesced system over the frontier
-  skeletons, solved by dense LU (``"direct"``/``"nlogn"``) or
-  matrix-free GMRES (``"hybrid"``, Algorithm II.6).  When the frontier
-  is the root's children this coalesced system *is* the root step of
-  Algorithm II.2, so no special casing is needed.
+  skeletons, solved by dense LU (``"direct"``/``"nlogn"``) or GMRES
+  (``"hybrid"``, Algorithm II.6).  When the frontier is the root's
+  children this coalesced system *is* the root step of Algorithm II.2,
+  so no special casing is needed.  The hybrid's GMRES operator starts
+  matrix-free and assembles the same ``Z`` the direct methods factor
+  once its applications have cost as much as assembling it
+  (:meth:`HierarchicalFactorization.reduced_matvec`).
 
 The ``"nlog2n"`` method reproduces INV-ASKIT [36]: identical ``Z``
 factors, but ``P^_alpha`` is computed by explicitly forming
@@ -33,6 +36,8 @@ the serial full-storage factors bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import threading
 from dataclasses import dataclass
 
@@ -103,7 +108,9 @@ class ReducedSystem:
     the frontier stage adds no kernel evaluations beyond the paper's
     V factors).  ``W^`` is blockdiag of the frontier ``P^`` factors.
     ``z_lu`` holds the dense LU of ``I + V W^`` for the direct methods
-    and is ``None`` for the hybrid method (GMRES instead).
+    and is ``None`` for the hybrid method (GMRES instead), whose ``z``
+    holds the assembled ``I + V W^`` once its matrix-free applications
+    have paid for it (:meth:`HierarchicalFactorization.reduced_matvec`).
     """
 
     frontier: list[Node]
@@ -112,6 +119,22 @@ class ReducedSystem:
     pair_blocks: dict[tuple[int, int], KernelSummation]
     z_lu: tuple[np.ndarray, np.ndarray] | None
     rcond: float
+    z: np.ndarray | None = None
+
+    @property
+    def assembly_columns(self) -> float:
+        """Matrix-free column applications that cost as much as assembling ``Z``.
+
+        One column of ``(I + V W^) y`` costs ``2 N S`` flops; assembling
+        ``Z`` costs ``sum_g 2 n_g s_g (S - s_g)`` (every pair block times
+        its ``P^``).
+        """
+        n = sum(g.size for g in self.frontier)
+        assembly = 0
+        for g in self.frontier:
+            s_g = self.slices[g.id].stop - self.slices[g.id].start
+            assembly += 2 * g.size * s_g * (self.size - s_g)
+        return assembly / (2 * n * self.size)
 
 
 def _stack(blocks: list[np.ndarray]) -> np.ndarray:
@@ -201,24 +224,42 @@ class HierarchicalFactorization:
         #: view identity check makes recovery-rewritten entries fall
         #: back to copying automatically.
         self._phat_slots: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
+        self._init_transient()
+
+    def _init_transient(self) -> None:
+        """Locks and the reduced operator's switch state; never pickled."""
         # low-storage solves temporarily re-materialize P^ blocks; the
         # lock serializes concurrent solves in that mode (full-storage
-        # solves are read-only and need no coordination).
+        # solves only read the factors).
         self._solve_lock = threading.Lock()
+        # guards the switch state below.  Not _solve_lock: a low-storage
+        # solve holds that one around GMRES, and threading.Lock is not
+        # reentrant.
+        self._assemble_lock = threading.Lock()
+        #: columns the hybrid's reduced operator applied matrix-free, across
+        #: solves (the counter of :meth:`reduced_matvec`'s switch).
+        self._columns_applied = 0
+        #: the cache budget refused to hold the assembled operator.
+        self._assembly_declined = False
 
     # -- pickling: locks are not picklable; recreate on load -------------
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_solve_lock"]
+        for name in ("_solve_lock", "_assemble_lock", "_columns_applied",
+                     "_assembly_declined"):
+            del state[name]
         # the per-node factors (views into the stacks) pickle as plain
-        # arrays; shipping the stacks too would double the payload.
+        # arrays; shipping the stacks too would double the payload.  The
+        # assembled reduced operator is derived state too.
         state["level_stacks"] = {}
         state["_phat_slots"] = {}
+        if self.reduced is not None and self.reduced.z is not None:
+            state["reduced"] = dataclasses.replace(self.reduced, z=None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._solve_lock = threading.Lock()
+        self._init_transient()
 
     # ------------------------------------------------------------------
     # construction: one level-stacked kernel (repro.perf.levelbatch)
@@ -908,53 +949,59 @@ class HierarchicalFactorization:
                 else:
                     pair_blocks[(f.id, g.id)] = h.pair_block(f, g, method)
 
-        z_lu = None
-        rcond = 1.0
-        if self.config.method != "hybrid":
-            Z = np.eye(size)
-            handled: set[tuple[int, int]] = set()
-            if len(frontier) > 1:
-                handled = self._assemble_reduced_batched(
-                    Z, slices, frontier, pair_blocks, levelbatch.BatchPolicy.current()
-                )
-            for g in frontier:
-                phat_g = self._phat(g)
-                for f in frontier:
-                    if f.id == g.id or (f.id, g.id) in handled:
-                        continue
-                    Z[slices[f.id], slices[g.id]] += pair_blocks[
-                        (f.id, g.id)
-                    ].matvec(phat_g)
-            rec = self.config.recovery
-            check = self.config.check_stability or rec.enabled
-            anorm = float(np.linalg.norm(Z, 1)) if check else 0.0
-            z_lu = lapack.lu_factor(Z)
-            count_flops(2 * size**3 // 3, label="factor_reduced_lu")
-            rcond = estimate_rcond(z_lu[0], anorm) if check else 1.0
-            self.stability.record("frontier", 1, rcond)
-            if rec.enabled and is_breakdown(rcond, rec.rcond_breakdown):
-                # no local fix exists for the coalesced system — the
-                # caller (robust_factorize) descends the frontier and
-                # retries with the hybrid method.
-                raise StabilityError(
-                    f"coalesced frontier system broke down (rcond={rcond:.2e})"
-                )
-
-        self.reduced = ReducedSystem(
+        red = ReducedSystem(
             frontier=frontier,
             slices=slices,
             size=size,
             pair_blocks=pair_blocks,
-            z_lu=z_lu,
-            rcond=rcond,
+            z_lu=None,
+            rcond=1.0,
         )
+        if self.config.method != "hybrid":
+            Z = self._assemble_reduced(red)
+            rec = self.config.recovery
+            check = self.config.check_stability or rec.enabled
+            anorm = float(np.linalg.norm(Z, 1)) if check else 0.0
+            red.z_lu = lapack.lu_factor(Z)
+            count_flops(2 * size**3 // 3, label="factor_reduced_lu")
+            red.rcond = estimate_rcond(red.z_lu[0], anorm) if check else 1.0
+            self.stability.record("frontier", 1, red.rcond)
+            if rec.enabled and is_breakdown(red.rcond, rec.rcond_breakdown):
+                # no local fix exists for the coalesced system — the
+                # caller (robust_factorize) descends the frontier and
+                # retries with the hybrid method.
+                raise StabilityError(
+                    f"coalesced frontier system broke down (rcond={red.rcond:.2e})"
+                )
+        self.reduced = red
+
+    def _assemble_reduced(self, red: ReducedSystem) -> np.ndarray:
+        """``Z = I + V W^`` from the frontier pair blocks and ``P^`` factors.
+
+        The one assembler: the direct methods LU its result while they
+        factorize, the hybrid method calls it once its matrix-free
+        applications have paid for it (:meth:`reduced_matvec`).
+        """
+        Z = np.eye(red.size)
+        handled: set[tuple[int, int]] = set()
+        if len(red.frontier) > 1:
+            handled = self._assemble_reduced_batched(
+                Z, red, levelbatch.BatchPolicy.current()
+            )
+        for g in red.frontier:
+            phat_g = self._phat(g)
+            for f in red.frontier:
+                if f.id == g.id or (f.id, g.id) in handled:
+                    continue
+                Z[red.slices[f.id], red.slices[g.id]] += red.pair_blocks[
+                    (f.id, g.id)
+                ].matvec(phat_g)
+        return Z
 
     def _assemble_reduced_batched(
         self,
         Z: np.ndarray,
-        slices: dict[int, slice],
-        frontier: list[Node],
-        pair_blocks: dict[tuple[int, int], KernelSummation],
+        red: ReducedSystem,
         policy: levelbatch.BatchPolicy,
     ) -> set[tuple[int, int]]:
         """Stacked assembly of the same-shaped frontier pair products.
@@ -967,6 +1014,7 @@ class HierarchicalFactorization:
         """
         h = self.hmatrix
         sset = h.skeletons
+        frontier, slices = red.frontier, red.slices
         done: set[tuple[int, int]] = set()
         pairs = [(f, g) for g in frontier for f in frontier if f.id != g.id]
         groups = levelbatch.group_by_key(
@@ -980,7 +1028,7 @@ class HierarchicalFactorization:
                 continue
             members = [pairs[i] for i in idxs]
             blocks = h.materialize_blocks(
-                [pair_blocks[(f.id, g.id)] for f, g in members]
+                [red.pair_blocks[(f.id, g.id)] for f, g in members]
             )
             keep = [i for i, blk in enumerate(blocks) if blk is not None]
             if len(keep) < 2:
@@ -1064,8 +1112,59 @@ class HierarchicalFactorization:
         return w
 
     def reduced_matvec(self, y: np.ndarray) -> np.ndarray:
-        """``(I + V W^) y`` — the hybrid method's GMRES operator."""
+        """``(I + V W^) y`` — the hybrid method's GMRES operator.
+
+        Matrix-free until the columns it has applied, counted across
+        solves, cost as many flops as assembling ``Z = I + V W^``
+        (:attr:`ReducedSystem.assembly_columns`); then it assembles ``Z``
+        once and returns ``Z @ y`` (the ski-rental rule).  A ``Z`` larger
+        than the block cache's budget stays matrix-free.
+        """
+        red = self.reduced
+        assert red is not None
+        k = 1 if y.ndim == 1 else y.shape[1]
+        if red.z is None and not self._assembly_declined:
+            # concurrent solves count every column and assemble once.
+            with self._assemble_lock:
+                if red.z is None and not self._assembly_declined:
+                    if self._columns_applied >= red.assembly_columns:
+                        self._assemble_or_decline()
+                    else:
+                        self._columns_applied += k
+        if red.z is not None:
+            count_flops(2 * red.size**2 * k, label="reduced_matvec")
+            count_mops(red.size**2 + 2 * red.size * k)
+            return red.z @ y
         return y + self._apply_v(self._apply_what(y))
+
+    def _assemble_or_decline(self) -> None:
+        """Assemble the hybrid's ``Z``, unless the cache budget refuses it.
+
+        Runs under ``_assemble_lock``; the decision is final either way.
+        """
+        red = self.reduced
+        budget = self.hmatrix.cache.budget_words
+        fits = budget is None or red.size**2 <= budget
+        attrs = {
+            "size": red.size,
+            "threshold_columns": math.ceil(red.assembly_columns),
+            "columns_applied": self._columns_applied,
+            "outcome": "assembled" if fits else "declined",
+        }
+        with span("solve.assemble", attrs=attrs):
+            if fits:
+                red.z = self._assemble_reduced(red)
+            else:
+                self._assembly_declined = True
+
+    @property
+    def reduced_operator(self) -> str:
+        """How solves apply the frontier system: ``"lu"``, ``"matrix-free"``
+        or ``"assembled"`` (the hybrid after :meth:`reduced_matvec`'s switch)."""
+        red = self.reduced
+        if red is None or red.z_lu is not None:
+            return "lu"
+        return "matrix-free" if red.z is None else "assembled"
 
     def _solve_reduced(self, t: np.ndarray) -> np.ndarray:
         """Solve ``(I + V W^) y = t`` by LU (direct) or GMRES (hybrid)."""
@@ -1205,6 +1304,8 @@ class HierarchicalFactorization:
                     counted.add(id(block))
             if self.reduced.z_lu is not None:
                 total += self.reduced.z_lu[0].size
+            if self.reduced.z is not None:
+                total += self.reduced.z.size
         return total
 
 

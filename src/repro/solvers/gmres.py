@@ -26,7 +26,7 @@ from repro.exceptions import ConvergenceWarning
 from repro.obs import emit_warning, registry
 from repro.util.flops import count_flops
 
-__all__ = ["GMRESResult", "gmres", "gmres_batched"]
+__all__ = ["GMRESResult", "gmres", "gmres_batched", "gmres_unreported"]
 
 #: a Hessenberg entry below this fraction of its column's norm is a
 #: numerical zero — exact-zero tests miss breakdowns masked by roundoff
@@ -195,6 +195,24 @@ def gmres_batched(
             stacklevel=2,
         )
     _publish(results, *seconds)
+    return results
+
+
+def gmres_unreported(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    B: np.ndarray,
+    config: GMRESConfig,
+) -> list[GMRESResult]:
+    """:func:`gmres_batched`'s solve without its warning and metrics.
+
+    For SPMD programs whose ranks all iterate the same solve: the caller
+    reports rank 0's results once, where ``p`` rank threads would warn
+    ``p`` times and rank processes would warn where nobody reads it.
+    """
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2:
+        raise ValueError("gmres_unreported expects a 2-D block of right-hand sides")
+    results, _seconds = _arnoldi(matvec, B, config, None, None)
     return results
 
 

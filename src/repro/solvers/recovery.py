@@ -167,6 +167,9 @@ class IterativeFallback:
     GMRES iterates on ``A M^{-1}`` and un-preconditions the result.
     """
 
+    #: GMRES applies ``lambda I + K~`` itself, never an assembled matrix.
+    reduced_operator = "matrix-free"
+
     def __init__(
         self,
         hmatrix: HMatrix,

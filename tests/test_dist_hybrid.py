@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import GMRESConfig, SkeletonConfig, SolverConfig, TreeConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ConvergenceWarning
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
 from repro.parallel import (
@@ -60,6 +60,32 @@ class TestAgreement:
         w1, _ = distributed_hybrid_solve(dist, u)
         w2, _ = distributed_hybrid_solve(dist, 3.0 * u)
         assert np.allclose(w2, 3.0 * w1, atol=1e-8)
+
+
+class TestPanels:
+    def test_panel_matches_single_solves_and_serial_panel(self, problem):
+        h, _, _, _ = problem
+        B = RNG.standard_normal((h.n_points, 3))
+        dist = distributed_hybrid_factorize(h, 0.5, 2, CFG, backend="thread")
+        W, _ = distributed_hybrid_solve(dist, B)
+        assert W.shape == B.shape
+        W_serial = factorize(h, 0.5, CFG).solve(B)
+        assert np.abs(W - W_serial).max() < 1e-10
+        for c in range(B.shape[1]):
+            w, _ = distributed_hybrid_solve(dist, B[:, c])
+            assert np.linalg.norm(W[:, c] - w) < 10 * CFG.gmres.tol * np.linalg.norm(w)
+
+
+class TestConvergenceReporting:
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_unconverged_solve_warns_once_per_column(self, problem, backend):
+        h, u, _, _ = problem
+        cfg = SolverConfig(method="hybrid", gmres=GMRESConfig(tol=1e-11, max_iters=3))
+        dist = distributed_hybrid_factorize(h, 0.5, 2, cfg, backend=backend)
+        B = np.stack([u, -2.0 * u], axis=1)
+        with pytest.warns(ConvergenceWarning) as caught:
+            distributed_hybrid_solve(dist, B)
+        assert sum(issubclass(w.category, ConvergenceWarning) for w in caught) == 2
 
 
 class TestCommunication:
