@@ -41,13 +41,12 @@ from repro.resilience import (
     WorkBudget,
     config_fingerprint,
     deadline_scope,
-    resilient_factorize,
 )
 from repro.solvers.factorization import HierarchicalFactorization, factorize
 from repro.solvers.recovery import (
     IterativeFallback,
     SolverHealth,
-    robust_factorize,
+    _ladder,
     robust_solve,
 )
 from repro.util.timing import StageTimes, Timer
@@ -101,8 +100,8 @@ class FastKernelSolver:
         self.solver_config = solver_config or SolverConfig()
         self.hmatrix: HMatrix | None = None
         self.factorization: HierarchicalFactorization | IterativeFallback | None = None
-        #: recovery report of the last factorize/solve cycle (populated
-        #: only when ``solver_config.recovery.enabled``).
+        #: report of the last factorize/solve cycle (populated only when
+        #: ``solver_config`` arms recovery or resilience).
         self.health: SolverHealth | None = None
         self.times = StageTimes()
         #: metric-attribution label (see :meth:`scope_telemetry`).  When
@@ -239,24 +238,28 @@ class FastKernelSolver:
         self.factorization = None
         cp = self._open_checkpoint("write")
         if cp is not None:
-            cp.save(
-                "solver",
-                {
-                    "kernel": self.kernel,
-                    "tree_config": self.tree_config,
-                    "skeleton_config": self.skeleton_config,
-                    "solver_config": self.solver_config,
-                    "X": self._X,
-                },
-            )
-            cp.save("skeletons", self.hmatrix)
+            self._save_model(cp)
         return self
+
+    def _save_model(self, cp: Checkpoint) -> None:
+        """Write the ``solver`` and ``skeletons`` payloads :meth:`resume` needs."""
+        cp.save(
+            "solver",
+            {
+                "kernel": self.kernel,
+                "tree_config": self.tree_config,
+                "skeleton_config": self.skeleton_config,
+                "solver_config": self.solver_config,
+                "X": self._X,
+            },
+        )
+        cp.save("skeletons", self.hmatrix)
 
     def factorize(self, lam: float = 0.0) -> "FastKernelSolver":
         """Factorize ``lambda I + K~`` with the configured method.
 
         With ``solver_config.recovery.enabled``, breakdown escalates
-        through the recovery ladder (docs/ROBUSTNESS.md) instead of
+        through the fallback ladder (docs/ROBUSTNESS.md) instead of
         degrading silently; the report lands in :attr:`health`.
 
         With ``solver_config.resilience`` armed, node work is charged
@@ -267,41 +270,49 @@ class FastKernelSolver:
         docs/ROBUSTNESS.md sections 6-8).
         """
         self._require_fitted()
-        res = self.solver_config.resilience
-        if not res.active:
-            with self._metric_scope(), self.times.time("factorize"):
-                if self.solver_config.recovery.enabled:
-                    self.factorization, self.health = robust_factorize(
-                        self.hmatrix, lam, self.solver_config
-                    )
-                else:
-                    self.factorization = factorize(
-                        self.hmatrix, lam, self.solver_config
-                    )
-                    self.health = None
-            return self
-
-        if self._deadline is None:
-            self._deadline = self._make_deadline()
-        health = SolverHealth()
-        for ev in self.hmatrix.skeletons.degradation_events:
-            health.record(
-                ev.get("stage", "coarsen"),
-                **{k: v for k, v in ev.items() if k != "stage"},
-            )
-        cp = self._open_checkpoint("write")
-        with self._metric_scope(), self.times.time("factorize"), deadline_scope(
-            self._deadline
-        ):
-            self.factorization, self.health = resilient_factorize(
-                self.hmatrix,
-                lam,
-                self.solver_config,
-                health=health,
-                deadline=self._deadline,
-                checkpoint=cp,
-            )
+        self._factorize(lam)
         return self
+
+    def _factorize(self, lam: float, resume_nodes: dict | None = None) -> None:
+        """The one path from the fitted H-matrix to :attr:`factorization`.
+
+        :meth:`factorize` and the kernel and point refactorizations of
+        :meth:`update` run it.  Plain :func:`factorize` when neither
+        recovery nor resilience is armed (:attr:`health` is None);
+        otherwise the fallback ladder under the pipeline deadline and
+        checkpoint.  ``resume_nodes`` transplants prior node factors.
+        """
+        config = self.solver_config
+        with self._metric_scope(), self.times.time("factorize"):
+            if not (config.recovery.enabled or config.resilience.active):
+                self.factorization = factorize(
+                    self.hmatrix, lam, config, resume_nodes=resume_nodes
+                )
+                self.health = None
+                return
+            if self._deadline is None:
+                self._deadline = self._make_deadline()
+            cp = self._open_checkpoint("write")
+            if cp is not None and not cp.has("skeletons"):
+                # an update changed the model, so the directory starts
+                # over: keep it resumable while the levels are written.
+                self._save_model(cp)
+            health = SolverHealth()
+            for ev in self.hmatrix.skeletons.degradation_events:
+                health.record(
+                    ev.get("stage", "coarsen"),
+                    **{k: v for k, v in ev.items() if k != "stage"},
+                )
+            with deadline_scope(self._deadline):
+                self.factorization, self.health = _ladder(
+                    self.hmatrix,
+                    lam,
+                    config,
+                    health,
+                    deadline=self._deadline,
+                    resume_nodes=resume_nodes,
+                    checkpoint=cp,
+                )
 
     def update(
         self,
@@ -334,21 +345,33 @@ class FastKernelSolver:
         — or when the tree cannot route new points — the update falls
         back to a full rebuild; either way the solver ends consistent
         and (when previously factorized or ``lam`` is given) ready to
-        :meth:`solve`.  The structured :class:`~repro.core.update.UpdateReport`
-        lands in :attr:`last_update`; an exception leaves the solver
-        unchanged.
+        :meth:`solve`.  Kernel and point updates refactorize through the
+        same path as :meth:`factorize` (recovery, pipeline deadline,
+        per-level checkpoints, :attr:`health`).  The structured
+        :class:`~repro.core.update.UpdateReport` lands in
+        :attr:`last_update`.  An exception leaves the solver unchanged
+        and, when checkpointing is armed, re-snapshots it
+        (:meth:`save_checkpoint`), since the refactorization may already
+        have written the updated model into the directory.
         """
         self._require_fitted()
         from repro.core.update import apply_update
 
-        with self._metric_scope():
-            self.last_update = apply_update(
-                self,
-                X_insert=X_insert,
-                X_delete=X_delete,
-                lam=lam,
-                kernel_params=kernel_params,
-            )
+        saved = dict(self.__dict__)
+        try:
+            with self._metric_scope():
+                self.last_update = apply_update(
+                    self,
+                    X_insert=X_insert,
+                    X_delete=X_delete,
+                    lam=lam,
+                    kernel_params=kernel_params,
+                )
+        except BaseException:
+            self.__dict__.update(saved)
+            if self.solver_config.resilience.checkpoint_dir is not None:
+                self.save_checkpoint()
+            raise
         return self
 
     # ------------------------------------------------------------------
@@ -461,17 +484,7 @@ class FastKernelSolver:
                 "solver_config.resilience.checkpoint_dir"
             )
         cp = Checkpoint(directory, fingerprint=self._fingerprint(), mode="write")
-        cp.save(
-            "solver",
-            {
-                "kernel": self.kernel,
-                "tree_config": self.tree_config,
-                "skeleton_config": self.skeleton_config,
-                "solver_config": self.solver_config,
-                "X": self._X,
-            },
-        )
-        cp.save("skeletons", self.hmatrix)
+        self._save_model(cp)
         fact = self.factorization
         if isinstance(fact, HierarchicalFactorization):
             for lv in sorted(fact.completed_levels, reverse=True):
@@ -482,16 +495,20 @@ class FastKernelSolver:
                     method=fact.config.method,
                 )
         if fact is not None:
-            cp.save(
-                "state",
-                {
-                    "factorization": fact,
-                    "health": self.health,
-                    "times": self.times,
-                    "lam": fact.lam,
-                },
-            )
+            self._save_state(cp)
         return cp.path
+
+    def _save_state(self, cp: Checkpoint) -> None:
+        """Write the ``state`` payload: factorization, health and times."""
+        cp.save(
+            "state",
+            {
+                "factorization": self.factorization,
+                "health": self.health,
+                "times": self.times,
+                "lam": self.factorization.lam,
+            },
+        )
 
     @classmethod
     def resume(cls, directory: str) -> "FastKernelSolver":

@@ -23,8 +23,12 @@ first:
   the tree cannot route (no recorded hyperplanes, a leaf would empty) —
   it falls back to a full rebuild.
 
-The solver facade is only mutated on success, at the very end: an
-exception anywhere leaves the caller's solver untouched.
+Every refactorization runs the facade's one factorization path
+(``FastKernelSolver._factorize``), so recovery, the pipeline deadline,
+per-level checkpoints and ``health`` behave as in ``factorize()``.  An
+exception anywhere leaves the caller's solver as it was
+(:meth:`~repro.FastKernelSolver.update` restores it and re-snapshots an
+armed checkpoint directory).
 """
 
 from __future__ import annotations
@@ -116,47 +120,21 @@ def _rebuild_kernel(kernel, params: dict):
     return type(kernel)(**kwargs)
 
 
-def _refactorize(solver, lam, resume_nodes=None):
-    """(Re)factorize the solver's H-matrix at ``lam``.
-
-    Mirrors the facade's :meth:`~repro.FastKernelSolver.factorize`
-    recovery wiring but threads the incremental-update transplant map
-    through to the primary attempt.  Returns ``(nodes_total,
-    nodes_reused)``.
-    """
-    from repro.solvers.factorization import factorize
-    from repro.solvers.recovery import robust_factorize
-
-    total = len(solver.hmatrix._nodes_at_or_below_frontier())
-    with solver.times.time("factorize"):
-        if solver.solver_config.recovery.enabled:
-            solver.factorization, solver.health = robust_factorize(
-                solver.hmatrix,
-                lam,
-                solver.solver_config,
-                resume_nodes=resume_nodes,
-            )
-        else:
-            solver.factorization = factorize(
-                solver.hmatrix,
-                lam,
-                solver.solver_config,
-                resume_nodes=resume_nodes,
-            )
-            solver.health = None
-    reused = getattr(solver.factorization, "nodes_resumed", 0)
-    return total, reused
-
-
 def _checkpoint_after(solver) -> None:
-    """Re-snapshot the (mutated) solver when checkpointing is armed.
+    """Finish the updated solver's checkpoint when checkpointing is armed.
 
-    The fingerprint changed with the data, so this lands under a fresh
-    manifest — the pre-update checkpoint can no longer be confused with
-    the updated model (see ``test_checkpoint``'s point-count guard).
+    A refactorization ran the facade's path, which already wrote the
+    ``solver`` and ``skeletons`` payloads and each level it factored
+    (under a fresh manifest when the fingerprint changed with the data
+    or kernel), so only the ``state`` payload is left; an update that
+    did not refactorize re-snapshots the whole solver.
     """
-    if solver.solver_config.resilience.checkpoint_dir is not None:
+    if solver.solver_config.resilience.checkpoint_dir is None:
+        return
+    if solver.factorization is None:
         solver.save_checkpoint()
+    else:
+        solver._save_state(solver._open_checkpoint("write"))
 
 
 def apply_update(
@@ -241,8 +219,8 @@ def apply_update(
             total = refac = 0
             if target_lam is not None:
                 with span("update.factorize", attrs={"lam": target_lam}):
-                    total, _ = _refactorize(solver, target_lam)
-                refac = total
+                    solver._factorize(target_lam)
+                total = refac = len(new_h._nodes_at_or_below_frontier())
         registry().counter("update.kernel_refits").inc()
         _checkpoint_after(solver)
         return UpdateReport(
@@ -370,12 +348,10 @@ def apply_update(
                 "update.factorize",
                 attrs={"lam": target_lam, "resumed": len(resume)},
             ):
-                total, reused = _refactorize(
-                    solver, target_lam, resume_nodes=resume or None
-                )
-            report.nodes_total = total
-            report.nodes_reused = reused
-            report.nodes_refactored = total - reused
+                solver._factorize(target_lam, resume_nodes=resume)
+            report.nodes_total = len(new_h._nodes_at_or_below_frontier())
+            report.nodes_reused = getattr(solver.factorization, "nodes_resumed", 0)
+            report.nodes_refactored = report.nodes_total - report.nodes_reused
 
     registry().counter("update.points_inserted").inc(report.n_inserted)
     registry().counter("update.points_deleted").inc(report.n_deleted)

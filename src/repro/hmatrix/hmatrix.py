@@ -7,7 +7,7 @@ and from user order.
 Dense block payloads (leaf diagonal blocks and the skeleton-row blocks
 of PRECOMPUTED summations) live in a shared
 :class:`~repro.perf.BlockCache` under this matrix's namespace, so the
-storage budget and store-vs-recompute policy apply uniformly; the
+storage budget applies uniformly; the
 lightweight :class:`~repro.kernels.summation.KernelSummation` wrappers
 are memoized per node under the cache's striped locks, which lets the
 task-parallel factorization executor fill different blocks
@@ -16,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+import copy
 import weakref
 
 import numpy as np
@@ -120,6 +121,21 @@ class HMatrix:
     def n_points(self) -> int:
         return self.tree.n_points
 
+    def with_frontier(self, frontier: list[Node]) -> "HMatrix":
+        """A shallow copy that factorizes at another antichain, ``frontier``.
+
+        The level restriction of paper section II-C: any antichain of
+        skeletonized nodes that partitions the points can bound the
+        factorization, and the hybrid reduced solve finishes above it.
+        Tree, skeletons, blocks and the cache are shared; only the
+        factorization boundary moves.
+        """
+        moved = copy.copy(self)
+        moved.frontier = list(frontier)
+        moved._frontier_ids = {f.id for f in moved.frontier}
+        moved._below = moved._nodes_at_or_below_frontier()
+        return moved
+
     def _nodes_at_or_below_frontier(self) -> list[Node]:
         out: list[Node] = []
         stack = list(self.frontier)
@@ -135,15 +151,11 @@ class HMatrix:
     def leaf_block(self, leaf: Node) -> np.ndarray:
         """Exact dense diagonal block of a leaf."""
         key = (self._ns, "leaf", leaf.id)
-        d = self.tree.points.shape[1]
 
         def build() -> np.ndarray:
             return self._build_leaf(leaf)
 
-        info = BlockInfo(
-            m=leaf.size, n=leaf.size, d=d,
-            flops_per_entry=self.kernel.flops_per_entry,
-        )
+        info = BlockInfo(m=leaf.size, n=leaf.size)
         return self.cache.get_or_compute(key, build, info)
 
     def leaf_blocks_stacked(self, leaves: list[Node]) -> np.ndarray:
@@ -157,11 +169,8 @@ class HMatrix:
         """
         from repro.perf import levelbatch
 
-        d = self.tree.points.shape[1]
         m = leaves[0].size
-        info = BlockInfo(
-            m=m, n=m, d=d, flops_per_entry=self.kernel.flops_per_entry
-        )
+        info = BlockInfo(m=m, n=m)
         keys = [(self._ns, "leaf", leaf.id) for leaf in leaves]
         need = [
             i for i, key in enumerate(keys) if not self.cache.contains(key)

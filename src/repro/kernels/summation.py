@@ -16,8 +16,8 @@ all three behind one interface so the solver can switch by configuration:
 When a :class:`~repro.perf.BlockCache` is attached, PRECOMPUTED blocks
 live in the cache rather than on the summation object: the dense block
 is materialized lazily on first product, subject to the cache's word
-budget and store-vs-recompute policy, and a product whose block the
-cache declines (or has evicted) falls back to the FUSED path.  That is
+budget, and a product whose block the cache declines (or has evicted)
+falls back to the FUSED path.  That is
 the paper's Table IV trade-off made per block at runtime.
 """
 
@@ -128,9 +128,7 @@ class KernelSummation:
         from repro.perf.blockcache import BlockInfo
 
         m, n = self.shape
-        return BlockInfo(
-            m=m, n=n, d=self.XA.shape[1], flops_per_entry=self.kernel.flops_per_entry
-        )
+        return BlockInfo(m=m, n=n)
 
     def _stored(self) -> np.ndarray | None:
         """The dense block if stored (object or cache), else None.

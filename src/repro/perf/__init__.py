@@ -7,8 +7,8 @@ seed reproduction made that choice statically per block kind; this
 package makes it adaptive and central:
 
 * :class:`BlockCache` — a process-wide, budgeted, LRU block store with
-  striped per-key fill locks and a perfmodel-driven store-vs-recompute
-  policy.  All dense kernel blocks of :class:`~repro.hmatrix.HMatrix`
+  striped per-key fill locks; it stores every block its budget admits.
+  All dense kernel blocks of :class:`~repro.hmatrix.HMatrix`
   (leaf diagonal blocks, sibling V-blocks, frontier rows, reduced-system
   pair blocks) live here.
 * :class:`NormTable` — tree-wide precomputed squared norms, threaded

@@ -8,11 +8,12 @@ choice into a per-block decision:
 
 * a **word budget** caps persistent float64 storage; least-recently-used
   blocks are evicted when a new block needs the space, and callers fall
-  back to their matrix-free (GSKS) path for blocks the cache declines;
-* the **store-vs-recompute policy** consults the
-  :mod:`repro.perfmodel` roofline: a block is only worth storing when
-  re-reading ``m n`` words from memory is modeled faster than
-  recomputing the block with the fused summation;
+  back to their matrix-free (GSKS) path for blocks larger than the
+  budget.  A block that fits is always stored: in this numpy
+  reproduction, streaming ``m n`` stored words beats recomputing the
+  block with the fused summation (the paper's Table IV conclusion for
+  blocks that fit; the roofline model agrees on the probed host and on
+  ``PYTHON_NODE``);
 * **striped per-key fill locks** let concurrent misses on *different*
   keys compute in parallel (the task-parallel factorization executor
   previously serialized on one H-matrix cache lock) while concurrent
@@ -38,11 +39,6 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.perfmodel.machine import MachineSpec
-
 __all__ = [
     "BlockInfo",
     "CacheStats",
@@ -51,8 +47,6 @@ __all__ = [
     "set_default_cache",
     "configure_default_cache",
 ]
-
-_WORD_BYTES = 8
 
 #: namespace tokens for cache owners (H-matrices, orphaned summations).
 _NAMESPACES = itertools.count(1)
@@ -65,17 +59,11 @@ def next_namespace() -> int:
 
 @dataclass(frozen=True)
 class BlockInfo:
-    """Cost hint for one ``m x n`` kernel block over ``d``-dim points.
-
-    Drives the store-vs-recompute policy: ``flops_per_entry`` is the
-    kernel's modeled elementwise cost (see
-    :attr:`repro.kernels.base.Kernel.flops_per_entry`).
-    """
+    """Size hint for one ``m x n`` kernel block: the cache admits it when
+    its ``words`` fit the budget."""
 
     m: int
     n: int
-    d: int
-    flops_per_entry: int = 1
 
     @property
     def words(self) -> int:
@@ -122,15 +110,6 @@ class BlockCache:
     n_stripes:
         Number of per-key fill locks; fills of keys mapping to
         different stripes proceed concurrently.
-    machine:
-        :class:`~repro.perfmodel.MachineSpec` used by the
-        store-vs-recompute policy.  Defaults to the runtime-probed spec
-        of this host (:func:`~repro.perfmodel.machine.probed_machine`;
-        falls back to :data:`~repro.perfmodel.machine.PYTHON_NODE` when
-        ``REPRO_MACHINE_PROBE=0``).  On any plausible host, recomputing
-        kernel entries through tiled numpy is far slower than streaming
-        stored blocks, so storing wins whenever the budget allows — the
-        paper's Table IV conclusion for blocks that fit.
     """
 
     def __init__(
@@ -138,18 +117,12 @@ class BlockCache:
         budget_words: int | None = None,
         *,
         n_stripes: int = 64,
-        machine: MachineSpec | None = None,
     ) -> None:
         if budget_words is not None and budget_words < 0:
             raise ValueError(f"budget_words must be >= 0 or None; got {budget_words}")
         if n_stripes < 1:
             raise ValueError("n_stripes must be >= 1")
-        # deferred import: repro.perfmodel's package __init__ reaches the
-        # parallel solvers, which import the H-matrix, which imports us.
-        from repro.perfmodel.machine import probed_machine
-
         self.budget_words = budget_words
-        self.machine = machine or probed_machine()
         self._entries: OrderedDict[Hashable, np.ndarray] = OrderedDict()
         self._words = 0
         self._lock = threading.Lock()
@@ -160,6 +133,7 @@ class BlockCache:
         self._evictions = 0
         self._rejections = 0
         self._peak_words = 0
+        self._stores = 0
         _instances.add(self)
 
     # -- spawn/fork safety ------------------------------------------------
@@ -168,21 +142,16 @@ class BlockCache:
 
         Locks are not picklable, cached blocks are pure recomputable
         data, and per-process stats must start at zero in a child — so
-        pickling a cache ships only ``budget_words`` / striping /
-        machine spec; the receiver starts empty.
+        pickling a cache ships only ``budget_words`` and striping; the
+        receiver starts empty.
         """
         return {
             "budget_words": self.budget_words,
-            "machine": self.machine,
             "n_stripes": len(self._stripes),
         }
 
     def __setstate__(self, state):
-        self.__init__(
-            state["budget_words"],
-            n_stripes=state["n_stripes"],
-            machine=state["machine"],
-        )
+        self.__init__(state["budget_words"], n_stripes=state["n_stripes"])
 
     def _reinit_after_fork(self) -> None:
         """Fork-safety: fresh locks + zeroed per-process stats.
@@ -211,23 +180,12 @@ class BlockCache:
 
     # -- policy ----------------------------------------------------------
     def should_store(self, info: BlockInfo | None) -> bool:
-        """Store-vs-recompute decision for a block (budget aside).
-
-        Models the Table IV trade: storing pays one stream of ``m n``
-        words per product; recomputing pays a fused GSKS evaluation.
-        With no cost hint the block is assumed worth storing.
-        """
-        if info is None:
-            return True
-        if self.budget_words is not None and info.words > self.budget_words:
-            return False
-        from repro.perfmodel.summation_model import model_gsks_summation
-
-        recompute_s = model_gsks_summation(
-            self.machine, info.m, info.n, max(info.d, 1)
-        ).seconds
-        reread_s = (info.words * _WORD_BYTES) / (self.machine.stream_bw_gbs * 1e9)
-        return recompute_s > reread_s
+        """True when a block fits the budget (with no size hint, assume so)."""
+        return (
+            info is None
+            or self.budget_words is None
+            or info.words <= self.budget_words
+        )
 
     # -- core operations -------------------------------------------------
     def fetch(self, key: Hashable) -> np.ndarray | None:
@@ -249,8 +207,8 @@ class BlockCache:
         info: BlockInfo | None = None,
     ) -> np.ndarray:
         """The block for ``key``, computing (once per concurrent miss) if
-        absent.  Always returns the block; stores it only when the policy
-        and budget allow."""
+        absent.  Always returns the block; stores it only when it fits
+        the budget."""
         block = self.fetch(key)
         if block is not None:
             return block
@@ -280,20 +238,12 @@ class BlockCache:
         key: Hashable,
         factory: Callable[[], np.ndarray],
         info: BlockInfo | None = None,
-        *,
-        decided: bool | None = None,
     ) -> np.ndarray | None:
         """Like :meth:`get_or_compute`, but returns None *without
-        computing* when the policy or budget declines the block — the
-        caller then uses its cheaper matrix-free path instead.
-
-        ``decided`` short-circuits the :meth:`should_store` evaluation
-        with a verdict the caller already computed for this ``info`` —
-        the policy is deterministic in the block dimensions, so callers
-        offering a same-shaped batch need only evaluate it once.  The
-        hit/miss/rejection accounting is identical either way.
+        computing* when the block does not fit the budget — the caller
+        then uses its matrix-free path instead.
         """
-        if not (self.should_store(info) if decided is None else decided):
+        if not self.should_store(info):
             with self._lock:
                 self._rejections += 1
             return None
@@ -333,6 +283,7 @@ class BlockCache:
                     self._evictions += 1
             self._entries[key] = block
             self._words += words
+            self._stores += 1
             self._peak_words = max(self._peak_words, self._words)
             return True
 
@@ -345,6 +296,12 @@ class BlockCache:
     def words(self) -> int:
         with self._lock:
             return self._words
+
+    @property
+    def stores(self) -> int:
+        """Blocks stored so far, never reset: a reader that sees the same
+        count twice knows no namespace grew in between."""
+        return self._stores
 
     def words_of_prefix(self, prefix) -> int:
         """Persistent words held under namespace ``prefix`` (``key[0]``)."""
@@ -468,7 +425,6 @@ def configure_default_cache(
     budget_words: int | None = None,
     *,
     n_stripes: int = 64,
-    machine: MachineSpec | None = None,
 ) -> BlockCache:
     """Install a fresh default cache with the given budget and return it.
 
@@ -476,6 +432,6 @@ def configure_default_cache(
     afterwards adopt the new cache (existing ones keep the cache they
     were built with).
     """
-    cache = BlockCache(budget_words, n_stripes=n_stripes, machine=machine)
+    cache = BlockCache(budget_words, n_stripes=n_stripes)
     set_default_cache(cache)
     return cache

@@ -16,9 +16,9 @@ idea for the numpy reproduction:
   per-node evaluation's exact op sequence (bitwise-identical slices);
 * :func:`materialize_summations` — dense payloads for a same-shaped
   group of PRECOMPUTED :class:`~repro.kernels.summation.KernelSummation`
-  blocks, batch-evaluating the cache misses while honoring the cache's
-  admission policy (a declined block returns ``None`` and the caller
-  takes that block's matrix-free path);
+  blocks, batch-evaluating the cache misses within the cache's word
+  budget (a declined block returns ``None`` and the caller takes that
+  block's matrix-free path);
 * :class:`BatchPolicy` — the roofline-derived "is this group worth
   stacking" threshold, fed by the probed
   :class:`~repro.perfmodel.MachineSpec` instead of fixed constants.
@@ -48,7 +48,6 @@ __all__ = [
     "BatchPolicy",
     "group_by_key",
     "split_groups",
-    "partition_resume",
     "stacked_kernel_blocks",
     "one_norms_stacked",
     "materialize_summations",
@@ -118,22 +117,6 @@ def split_groups(
     return out
 
 
-def partition_resume(nodes: Sequence, resume: dict) -> tuple[list, list]:
-    """Split a level's nodes into ``(compute, restore)`` lists.
-
-    Dirty-level restacking for incremental updates: nodes present in
-    the ``resume`` payload map re-enter the factorization as standalone
-    transplanted arrays, so they are excluded from the level's
-    shape-group stacking — only the recomputed remainder is batched —
-    and the parent level's P^ gather falls back to its
-    layout-preserving copy path for them automatically (they hold no
-    stack slot).  Node order is preserved inside both lists.
-    """
-    compute = [n for n in nodes if n.id not in resume]
-    restore = [n for n in nodes if n.id in resume]
-    return compute, restore
-
-
 def stacked_kernel_blocks(
     kernel: "Kernel",
     XA: np.ndarray,
@@ -186,14 +169,14 @@ def materialize_summations(
     where ``matvec`` would go matrix-free.
 
     Mirrors ``KernelSummation._stored()`` exactly — eager blocks are
-    returned as-is, cache-backed blocks go through the cache's
-    ``offer`` (same hit/miss/rejection accounting as one ``matvec``)
-    — except that all cache *misses* in the group are evaluated in one
+    returned as-is, cache-backed blocks within the budget go through the
+    cache's ``offer`` (same hit/miss accounting as one ``matvec``) —
+    except that all cache *misses* in the group are evaluated in one
     stacked kernel call instead of one call each.  Entries whose method
-    is not PRECOMPUTED, or whose block the cache declines, come back
+    is not PRECOMPUTED, or whose block exceeds the budget, come back
     ``None``: the caller must use their ``matvec`` (its GSKS path is
     tiled and not bitwise-comparable to a dense product, so the choice
-    must match what ``matvec`` would do).
+    must match what ``matvec`` would do), which counts the rejection.
     """
     from repro.kernels.summation import SummationMethod
 
@@ -207,28 +190,13 @@ def materialize_summations(
         elif summ._cache is not None:
             pending.append(i)
 
-    if not pending:
-        return out
-
-    # the store-vs-recompute policy depends only on the block dimensions
-    # and the machine model, and every summation in the group has the
-    # same shape — evaluate it once per (cache, shape), not per block.
+    # a block over the budget comes back None without an offer: the
+    # caller's matvec offers it, so each rejection is counted once.
     infos = {i: summs[i]._block_info() for i in pending}
-    verdicts: dict[int, bool] = {}
-    for i in pending:
-        ck = id(summs[i]._cache)
-        if ck not in verdicts:
-            verdicts[ck] = summs[i]._cache.should_store(infos[i])
-
-    # one stacked evaluation for the group's actual cache misses (blocks
-    # the policy would store); already-cached and policy-declined blocks
-    # are excluded so flop charges match per-block evaluation exactly.
-    need = [
-        i
-        for i in pending
-        if verdicts[id(summs[i]._cache)]
-        and not summs[i]._cache.contains(summs[i]._cache_key)
-    ]
+    admit = [i for i in pending if summs[i]._cache.should_store(infos[i])]
+    # one stacked evaluation for the group's actual cache misses; cached
+    # blocks are excluded so flop charges match per-block evaluation.
+    need = [i for i in admit if not summs[i]._cache.contains(summs[i]._cache_key)]
     slices: dict[int, np.ndarray] = {}
     if need:
         kernel = summs[need[0]].kernel
@@ -244,14 +212,9 @@ def materialize_summations(
             # copy: a slice view would pin the whole stack in the cache.
             slices[i] = blocks[pos].copy()
 
-    for i in pending:
+    for i in admit:
         summ = summs[i]
         pre = slices.get(i)
         factory = (lambda s=pre: s) if pre is not None else summ._evaluate
-        out[i] = summ._cache.offer(
-            summ._cache_key,
-            factory,
-            infos[i],
-            decided=verdicts[id(summ._cache)],
-        )
+        out[i] = summ._cache.offer(summ._cache_key, factory, infos[i])
     return out

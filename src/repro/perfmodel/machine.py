@@ -91,8 +91,7 @@ HASWELL_NODE = MachineSpec(
 #: not).  Unlike the paper's nodes, the "fused" path here is tiled
 #: numpy, so recomputing a kernel block is exp-throughput bound and far
 #: slower than streaming a stored copy — which is why the
-#: :class:`~repro.perf.BlockCache` store-vs-recompute policy defaults
-#: to this spec rather than HASWELL_NODE.
+#: :class:`~repro.perf.BlockCache` stores every block its budget admits.
 PYTHON_NODE = MachineSpec(
     name="single numpy process (reproduction host)",
     peak_gflops=50.0,
@@ -116,10 +115,10 @@ KNL_NODE = MachineSpec(
 # ---------------------------------------------------------------------------
 # runtime probe: measured MachineSpec for the host actually running this
 # process.  PYTHON_NODE above is a fixed guess; the probe replaces it with
-# ~20 ms of micro-measurement so the BlockCache store-vs-recompute policy,
-# the GSKS tile autotuner, and the level-batch threshold all see the real
-# machine.  Results are quantized to two significant figures (damps
-# run-to-run jitter) and cached for the life of the process.
+# ~20 ms of micro-measurement so the GSKS tile autotuner and the
+# level-batch threshold see the real machine.  Results are quantized to
+# two significant figures (damps run-to-run jitter) and cached for the
+# life of the process.
 # ---------------------------------------------------------------------------
 
 _PROBE_LOCK = threading.Lock()

@@ -12,13 +12,16 @@ operational pressure too:
 * :mod:`repro.resilience.checkpoint` — the versioned on-disk
   ``repro.checkpoint/v1`` format: content checksums, config
   fingerprints, refuse-to-load-on-mismatch, so an interrupted
-  factorization resumes from the last completed level;
-* :mod:`repro.resilience.degradation` — the deadline-pressure ladder
-  (coarsen rank tolerance → freeze the frontier and finish with the
-  hybrid GMRES path → preconditioned iterative fallback), every rung
-  recorded in :class:`repro.solvers.recovery.SolverHealth`.
+  factorization resumes from the last completed level.
 
-See docs/ROBUSTNESS.md sections 6–8 for the full guide.
+Deadline pressure coarsens the rank tolerance during skeletonization;
+a deadline spent during factorization takes the one fallback ladder,
+:func:`repro.solvers.recovery.robust_factorize` (freeze the frontier
+at the deepest completed level and finish with the hybrid GMRES path,
+then preconditioned iterative fallback), every rung recorded in
+:class:`repro.solvers.recovery.SolverHealth`.
+
+See docs/ROBUSTNESS.md sections 3 and 6–8 for the full guide.
 """
 
 from repro.resilience.checkpoint import (
@@ -34,10 +37,6 @@ from repro.resilience.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.resilience.degradation import (
-    freeze_frontier_at_level,
-    resilient_factorize,
-)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -49,6 +48,4 @@ __all__ = [
     "config_fingerprint",
     "current_deadline",
     "deadline_scope",
-    "freeze_frontier_at_level",
-    "resilient_factorize",
 ]

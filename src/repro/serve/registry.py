@@ -12,10 +12,12 @@ directories via :meth:`FastKernelSolver.resume`.
 
 Memory is governed by the BlockCache budget discipline applied at
 model granularity: a word budget caps the summed persistent storage of
-all residents, admission evicts least-recently-used residents to make
-room, and a model that alone exceeds the budget is refused
-(:class:`~repro.exceptions.OverloadedError`) rather than silently
-evicting everything else.
+all residents, admission (and each served batch that grew the resident
+that served it) evicts least-recently-used residents to make room, and
+a model that alone exceeds the budget is refused
+(:class:`~repro.exceptions.OverloadedError`), or evicted once it
+outgrows the budget while resident, rather than silently evicting
+everything else.
 
 Every admitted model is telemetry-scoped
 (:meth:`FastKernelSolver.scope_telemetry`), so the health endpoint can
@@ -55,6 +57,8 @@ class ResidentModel:
     storage_words: int
     #: solve batches served through this resident (registry-lock guarded).
     solves: int = field(default=0)
+    #: :func:`_growth_mark` when ``storage_words`` was measured.
+    mark: tuple = field(default=(), init=False, repr=False)
 
     def describe(self) -> dict:
         return {
@@ -74,6 +78,14 @@ def _model_words(solver: FastKernelSolver) -> int:
     return int(words)
 
 
+def _growth_mark(solver: FastKernelSolver) -> tuple:
+    """Changes whenever the solver can have gained words: its block
+    cache stored a block, or the hybrid assembled its reduced operator.
+    O(1), unlike :func:`_model_words`."""
+    reduced = getattr(solver.factorization, "reduced", None)
+    return solver.hmatrix.cache.stores, getattr(reduced, "z", None) is not None
+
+
 class ModelRegistry:
     """LRU registry of resident factorized solvers, keyed by fingerprint.
 
@@ -83,7 +95,8 @@ class ModelRegistry:
         Word budget over the summed ``storage_words`` of all residents
         (``None`` = unbounded).  Enforced on admission, BlockCache
         style: evict LRU residents until the newcomer fits; refuse a
-        newcomer that cannot fit an empty registry.
+        newcomer that cannot fit an empty registry.  Re-enforced after
+        a served batch that grew its resident (:meth:`count_solve`).
 
     Thread safety: every method is safe to call concurrently; the lock
     covers the resident table and counters, never a solve (callers hold
@@ -123,6 +136,7 @@ class ModelRegistry:
             )
         fingerprint = solver.fingerprint()
         solver.scope_telemetry(fingerprint[:12])
+        mark = _growth_mark(solver)
         words = _model_words(solver)
         model = ResidentModel(
             fingerprint=fingerprint,
@@ -130,6 +144,7 @@ class ModelRegistry:
             source=source,
             storage_words=words,
         )
+        model.mark = mark
         reg = metrics_registry()
         with self._lock:
             if self.budget_words is not None and words > self.budget_words:
@@ -336,10 +351,42 @@ class ModelRegistry:
             return list(self._models.values())
 
     def count_solve(self, fingerprint: str) -> None:
+        """Count a served batch and re-charge the resident if it grew.
+
+        A resident gains words after admission (a hybrid's assembled
+        reduced operator, cache fills).  When its :func:`_growth_mark`
+        moved, it is re-measured and the budget enforced as admission
+        does: other residents are evicted, least recently used first,
+        until the total fits, and a resident that alone no longer fits
+        is evicted itself rather than everything else.
+        """
         with self._lock:
             model = self._models.get(fingerprint)
-            if model is not None:
-                model.solves += 1
+            if model is None:
+                return
+            model.solves += 1
+            mark = _growth_mark(model.solver)
+            if mark == model.mark:
+                return
+        words = _model_words(model.solver)
+        reg = metrics_registry()
+        with self._lock:
+            if self._models.get(fingerprint) is not model:
+                return  # evicted or replaced while it was measured
+            model.mark, model.storage_words = mark, words
+            if self.budget_words is not None:
+                if words > self.budget_words:
+                    victims = [fingerprint]
+                else:
+                    victims = [fp for fp in self._models if fp != fingerprint]
+                for fp in victims:
+                    if self._resident_words() <= self.budget_words:
+                        break
+                    del self._models[fp]
+                    self._evictions += 1
+                    reg.counter("serve.registry.evictions").inc()
+            reg.gauge("serve.registry.residents").set(len(self._models))
+            reg.gauge("serve.registry.words").set(self._resident_words())
 
     def __len__(self) -> int:
         with self._lock:

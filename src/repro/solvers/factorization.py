@@ -67,6 +67,7 @@ __all__ = [
     "ReducedSystem",
     "HierarchicalFactorization",
     "factorize",
+    "level_payload_nodes",
 ]
 
 
@@ -164,6 +165,18 @@ def _v_products(v, X: np.ndarray):
     return np.matmul(K, X)
 
 
+def _refactored(event: dict, node_id: int) -> bool:
+    """True when the lambda bump ``event`` re-factorized ``node_id``.
+
+    A bump at node ``p`` redoes ``p``'s whole subtree, so it covers
+    ``p`` and every descendant; with heap ids the ancestors of ``i``
+    are ``i >> k``.
+    """
+    at, node_id = int(event["node_id"]), int(node_id)
+    shift = node_id.bit_length() - at.bit_length()
+    return shift >= 0 and node_id >> shift == at
+
+
 def _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y) -> np.ndarray:
     """Eq. (10) after its reduced solve: the stacked ``P^_alpha``."""
     g, nl, s_a = G_l.shape
@@ -211,8 +224,8 @@ class HierarchicalFactorization:
         #: tree levels whose factors are complete (checkpoint/resume
         #: granularity; includes restored levels).
         self.completed_levels: set[int] = set()
-        #: nodes transplanted from a prior factorization during an
-        #: incremental update (``factorize(resume_nodes=...)``).
+        #: nodes transplanted from prior factors
+        #: (``factorize(resume_nodes=...)``).
         self.nodes_resumed: int = 0
         #: contiguous per-level factor storage (level -> list of stacked
         #: arrays); the per-node ``LeafFactor``/``InternalFactor`` fields
@@ -269,7 +282,6 @@ class HierarchicalFactorization:
         roots: list[Node],
         *,
         deadline=None,
-        resume_levels: dict[int, dict] | None = None,
         resume_nodes: dict[int, dict] | None = None,
         on_level=None,
         recover: bool = True,
@@ -278,14 +290,16 @@ class HierarchicalFactorization:
 
         The one level loop of Algorithm II.2: :func:`factorize`, recovery
         rung 1 and the local phases of the distributed solvers all run
-        it.  ``resume_levels`` transplants the contiguous deepest levels
-        (a gap means the shallower payloads may depend on recomputed
-        factors, so they are recomputed); ``resume_nodes`` transplants
-        single nodes and factors the rest of their level
-        (:func:`repro.perf.levelbatch.partition_resume`).
-        ``on_level(level)`` runs after each computed level.
+        it.  A node's factors depend only on its subtree and lambda, so a
+        node is transplanted from ``resume_nodes`` (payloads of
+        :meth:`export_node_payload`) if and only if it has a payload and
+        is a leaf or had both children transplanted; the rest of its
+        level is factored.  ``on_level(level)`` runs after each level
+        that factored a node; a level transplanted whole is marked
+        complete.
         """
         tree = self.hmatrix.tree
+        resume_nodes = resume_nodes or {}
         by_level: dict[int, list[Node]] = {}
         stack = list(roots)
         while stack:
@@ -293,21 +307,26 @@ class HierarchicalFactorization:
             by_level.setdefault(node.level, []).append(node)
             if not tree.is_leaf(node):
                 stack.extend(tree.children(node))
-        restorable = True
+        transplanted: set[int] = set()
         for level in sorted(by_level, reverse=True):
-            if restorable and resume_levels and level in resume_levels:
-                self.restore_level_payload(resume_levels[level])
-                continue
-            restorable = False
             members = by_level[level]
-            todo, restored = levelbatch.partition_resume(members, resume_nodes or {})
-            for node in restored:
-                self.restore_node_payload(resume_nodes[node.id])
+            todo = []
+            for node in members:
+                if node.id in resume_nodes and (
+                    tree.is_leaf(node)
+                    or all(c.id in transplanted for c in tree.children(node))
+                ):
+                    self.restore_node_payload(resume_nodes[node.id])
+                    transplanted.add(node.id)
+                else:
+                    todo.append(node)
+            self.nodes_resumed += len(members) - len(todo)
+            if not todo:
+                self.completed_levels.add(level)
+                continue
             with span("factorize.level", attrs={"level": level, "nodes": len(todo)}):
-                if todo:
-                    self._factor_level(todo, deadline, recover=recover)
-            if restored:
-                self.nodes_resumed += len(restored)
+                self._factor_level(todo, deadline, recover=recover)
+            if len(todo) < len(members):
                 self._restore_node_order(members)
             if on_level is not None:
                 on_level(level)
@@ -548,20 +567,21 @@ class HierarchicalFactorization:
         stacked ``P^`` blocks.
         """
         h = self.hmatrix
-
-        def vblocks(summs: list[KernelSummation]):
-            blocks = h.materialize_blocks(summs)
-            if any(block is None for block in blocks):
-                return summs, None
-            return summs, _stack(blocks)
-
         children = [h.tree.children(n) for n in nodes]
         return (
-            vblocks([h.sibling_block(left) for left, _ in children]),
-            vblocks([h.sibling_block(right) for _, right in children]),
+            self._vblocks([h.sibling_block(left) for left, _ in children]),
+            self._vblocks([h.sibling_block(right) for _, right in children]),
             self._gather_phats([left for left, _ in children]),
             self._gather_phats([right for _, right in children]),
         )
+
+    def _vblocks(self, summs: list[KernelSummation]):
+        """``(summs, K)`` for :func:`_v_products`: ``K`` stacks the
+        group's dense blocks, ``None`` when any stays matrix-free."""
+        blocks = self.hmatrix.materialize_blocks(summs)
+        if any(block is None for block in blocks):
+            return summs, None
+        return summs, _stack(blocks)
 
     def _telescope_rhs(self, nodes, vl, vr, phat_l, phat_r):
         """Eq. (10) up to its reduced solve, for a same-shaped group.
@@ -654,94 +674,20 @@ class HierarchicalFactorization:
         ) from last
 
     # ------------------------------------------------------------------
-    # checkpoint payloads (repro.checkpoint/v1, level granularity)
+    # transplant payloads (repro.checkpoint/v1, update, distributed resume)
     # ------------------------------------------------------------------
-    def export_level_payload(self, level: int) -> dict:
-        """Serializable factors of one completed tree level.
-
-        The :class:`KernelSummation` sibling blocks are *excluded* —
-        they hold cache handles and are rebuilt deterministically from
-        the H-matrix on restore (kernel evaluation is pure), which keeps
-        payloads small and decouples them from cache state.
-        """
-        tree = self.hmatrix.tree
-        leaves: dict[int, dict] = {}
-        internals: dict[int, dict] = {}
-        for nid, lf in self.leaf_factors.items():
-            if tree.node(nid).level != level:
-                continue
-            leaves[nid] = {
-                "lu": lf.lu[0],
-                "piv": lf.lu[1],
-                "phat": lf.phat,
-                "rcond": lf.rcond,
-                "anorm": self._leaf_anorms.get(nid, 0.0),
-                "lam_extra": self._lam_extra.get(nid, 0.0),
-            }
-        for nid, nf in self.node_factors.items():
-            if tree.node(nid).level != level:
-                continue
-            internals[nid] = {
-                "z_lu": nf.z_lu[0],
-                "piv": nf.z_lu[1],
-                "s_l": nf.s_l,
-                "s_r": nf.s_r,
-                "phat": nf.phat,
-                "rcond": nf.rcond,
-            }
-        events = [
-            e
-            for e in self.recovery_events
-            if tree.node(e["node_id"]).level == level
-        ]
-        return {
-            "level": level,
-            "lam": self.lam,
-            "leaves": leaves,
-            "internals": internals,
-            "recovery_events": events,
-        }
-
-    def restore_level_payload(self, payload: dict) -> None:
-        """Transplant one level's factors back (inverse of export).
-
-        Sibling ``V`` blocks are re-derived from the H-matrix; stability
-        records are replayed so reports stay faithful across a resume.
-        """
-        h = self.hmatrix
-        tree = h.tree
-        for nid, d in payload["leaves"].items():
-            self.leaf_factors[nid] = LeafFactor(
-                lu=(d["lu"], d["piv"]), phat=d["phat"], rcond=d["rcond"]
-            )
-            self._leaf_anorms[nid] = d["anorm"]
-            if d["lam_extra"]:
-                self._lam_extra[nid] = d["lam_extra"]
-            self.stability.record("leaf", nid, d["rcond"])
-        for nid, d in payload["internals"].items():
-            left, right = tree.children(tree.node(nid))
-            self.node_factors[nid] = InternalFactor(
-                z_lu=(d["z_lu"], d["piv"]),
-                s_l=d["s_l"],
-                s_r=d["s_r"],
-                vblock_l=h.sibling_block(left),
-                vblock_r=h.sibling_block(right),
-                phat=d["phat"],
-                rcond=d["rcond"],
-            )
-            self.stability.record("reduced", nid, d["rcond"])
-        self.recovery_events.extend(payload.get("recovery_events", []))
-        self.completed_levels.add(payload["level"])
-
     def export_node_payload(self, node_id: int) -> dict:
-        """Serializable factors of one node (task-DAG granularity).
+        """Serializable factors of one node and the recovery events behind them.
 
-        Same shape as one entry of :meth:`export_level_payload`: the
-        :class:`KernelSummation` sibling blocks are excluded and
-        re-derived on restore (kernel evaluation is pure), so the
-        payload is a handful of dense arrays that travel cheaply
-        between the task-parallel executor's worker processes.
+        A node carries every lambda bump that re-factorized it: those
+        recorded at it or at an ancestor, whose bump it (for a leaf, its
+        ``lam_extra``) still holds after a transplant.  The
+        :class:`KernelSummation` sibling blocks are excluded — they
+        hold cache handles and are re-derived from the H-matrix on
+        restore (kernel evaluation is pure), which keeps payloads a
+        handful of dense arrays, decoupled from cache state.
         """
+        events = [e for e in self.recovery_events if _refactored(e, node_id)]
         if node_id in self.leaf_factors:
             lf = self.leaf_factors[node_id]
             return {
@@ -753,6 +699,7 @@ class HierarchicalFactorization:
                 "rcond": lf.rcond,
                 "anorm": self._leaf_anorms.get(node_id, 0.0),
                 "lam_extra": self._lam_extra.get(node_id, 0.0),
+                "recovery_events": events,
             }
         nf = self.node_factors[node_id]
         return {
@@ -764,20 +711,20 @@ class HierarchicalFactorization:
             "s_r": nf.s_r,
             "phat": nf.phat,
             "rcond": nf.rcond,
+            "recovery_events": events,
         }
 
     def restore_node_payload(self, payload: dict) -> None:
         """Transplant one node's factors back (inverse of export).
 
-        Idempotent: a node already present is left untouched (a DAG
-        worker that factored a child locally skips the shipped copy
-        without double-recording its stability entry).
+        Sibling ``V`` blocks are re-derived from the H-matrix; stability
+        records and recovery events are replayed so reports stay
+        faithful across a transplant (an ancestor's event, carried by
+        each node of its subtree, is recorded once).
         """
         h = self.hmatrix
         nid = payload["node_id"]
         if payload["kind"] == "leaf":
-            if nid in self.leaf_factors:
-                return
             self.leaf_factors[nid] = LeafFactor(
                 lu=(payload["lu"], payload["piv"]),
                 phat=payload["phat"],
@@ -787,20 +734,49 @@ class HierarchicalFactorization:
             if payload["lam_extra"]:
                 self._lam_extra[nid] = payload["lam_extra"]
             self.stability.record("leaf", nid, payload["rcond"])
-            return
-        if nid in self.node_factors:
-            return
-        left, right = h.tree.children(h.tree.node(nid))
-        self.node_factors[nid] = InternalFactor(
-            z_lu=(payload["z_lu"], payload["piv"]),
-            s_l=payload["s_l"],
-            s_r=payload["s_r"],
-            vblock_l=h.sibling_block(left),
-            vblock_r=h.sibling_block(right),
-            phat=payload["phat"],
-            rcond=payload["rcond"],
-        )
-        self.stability.record("reduced", nid, payload["rcond"])
+        else:
+            left, right = h.tree.children(h.tree.node(nid))
+            self.node_factors[nid] = InternalFactor(
+                z_lu=(payload["z_lu"], payload["piv"]),
+                s_l=payload["s_l"],
+                s_r=payload["s_r"],
+                vblock_l=h.sibling_block(left),
+                vblock_r=h.sibling_block(right),
+                phat=payload["phat"],
+                rcond=payload["rcond"],
+            )
+            self.stability.record("reduced", nid, payload["rcond"])
+        for event in payload["recovery_events"]:
+            if event not in self.recovery_events:
+                self.recovery_events.append(event)
+
+    def export_level_payload(self, level: int) -> dict:
+        """The ``repro.checkpoint/v1`` ``level_NNN`` payload of one level.
+
+        Its nodes' :meth:`export_node_payload` entries, keyed by node id
+        under ``leaves``/``internals`` without their ``kind``,
+        ``node_id`` and ``recovery_events`` keys, plus the level's
+        recovery events; :func:`level_payload_nodes` inverts it.
+        """
+        tree = self.hmatrix.tree
+        out = {
+            "level": level,
+            "lam": self.lam,
+            "leaves": {},
+            "internals": {},
+            "recovery_events": [],
+        }
+        for nid in (*self.leaf_factors, *self.node_factors):
+            if tree.node(nid).level != level:
+                continue
+            entry = self.export_node_payload(nid)
+            kind = entry.pop("kind")
+            del entry["node_id"]
+            for event in entry.pop("recovery_events"):
+                if event not in out["recovery_events"]:
+                    out["recovery_events"].append(event)
+            out["leaves" if kind == "leaf" else "internals"][nid] = entry
+        return out
 
     def _gather_phats(self, nodes: list[Node]) -> np.ndarray:
         """Children's P^ blocks as one ``(g, n, s)`` stack.
@@ -980,70 +956,26 @@ class HierarchicalFactorization:
 
         The one assembler: the direct methods LU its result while they
         factorize, the hybrid method calls it once its matrix-free
-        applications have paid for it (:meth:`reduced_matvec`).
+        applications have paid for it (:meth:`reduced_matvec`).  Pairs
+        ``(f, g)`` are grouped by the shape of ``K_{f~ g} P^_g``; a group
+        the batch policy declines runs as groups of one through the same
+        code, as :meth:`_factor_level` does.  The scatter targets are
+        disjoint, so the accumulation order does not matter.
         """
+        sset = self.hmatrix.skeletons
+        policy = levelbatch.BatchPolicy.current()
+        pairs = [(f, g) for g in red.frontier for f in red.frontier if f.id != g.id]
         Z = np.eye(red.size)
-        handled: set[tuple[int, int]] = set()
-        if len(red.frontier) > 1:
-            handled = self._assemble_reduced_batched(
-                Z, red, levelbatch.BatchPolicy.current()
-            )
-        for g in red.frontier:
-            phat_g = self._phat(g)
-            for f in red.frontier:
-                if f.id == g.id or (f.id, g.id) in handled:
-                    continue
-                Z[red.slices[f.id], red.slices[g.id]] += red.pair_blocks[
-                    (f.id, g.id)
-                ].matvec(phat_g)
-        return Z
-
-    def _assemble_reduced_batched(
-        self,
-        Z: np.ndarray,
-        red: ReducedSystem,
-        policy: levelbatch.BatchPolicy,
-    ) -> set[tuple[int, int]]:
-        """Stacked assembly of the same-shaped frontier pair products.
-
-        Returns the ``(f.id, g.id)`` pairs it accumulated into ``Z`` so
-        the per-pair loop skips them; the remaining (ragged or cache-
-        declined) pairs keep the matrix-free ``matvec`` path.  The
-        scatter targets are disjoint, so the accumulation is bitwise
-        identical to the per-pair loop regardless of order.
-        """
-        h = self.hmatrix
-        sset = h.skeletons
-        frontier, slices = red.frontier, red.slices
-        done: set[tuple[int, int]] = set()
-        pairs = [(f, g) for g in frontier for f in frontier if f.id != g.id]
-        groups = levelbatch.group_by_key(
+        for _key, members in levelbatch.split_groups(
             pairs,
             lambda fg: (sset[fg[0].id].rank, fg[1].size, sset[fg[1].id].rank),
-        )
-        for (s_f, ng, s_g), idxs in groups.items():
-            if not policy.worth(
-                len(idxs), s_f * ng + ng * s_g, calls_saved=6
-            ):
-                continue
-            members = [pairs[i] for i in idxs]
-            blocks = h.materialize_blocks(
-                [red.pair_blocks[(f.id, g.id)] for f, g in members]
-            )
-            keep = [i for i, blk in enumerate(blocks) if blk is not None]
-            if len(keep) < 2:
-                continue
-            K = np.stack([blocks[i] for i in keep])
-            phat_g = np.stack([self._phat(members[i][1]) for i in keep])
-            prod = np.matmul(K, phat_g)
-            n_keep = len(keep)
-            count_flops(n_keep * 2 * s_f * ng * s_g, label="summation_gemv")
-            count_mops(n_keep * (s_f * ng + ng * s_g + s_f * s_g))
-            for pos, i in enumerate(keep):
-                f, g = members[i]
-                Z[slices[f.id], slices[g.id]] += prod[pos]
-                done.add((f.id, g.id))
-        return done
+            lambda key, g: policy.worth(g, key[1] * (key[0] + key[2]), calls_saved=6),
+        ):
+            v = self._vblocks([red.pair_blocks[(f.id, g.id)] for f, g in members])
+            prods = _v_products(v, self._gather_phats([g for _, g in members]))
+            for (f, g), prod in zip(members, prods):
+                Z[red.slices[f.id], red.slices[g.id]] += prod
+        return Z
 
     # ------------------------------------------------------------------
     # application
@@ -1309,13 +1241,28 @@ class HierarchicalFactorization:
         return total
 
 
+def level_payload_nodes(payload: dict) -> dict[int, dict]:
+    """``{node_id: node payload}`` of one ``level_NNN`` checkpoint payload.
+
+    The inverse of :meth:`HierarchicalFactorization.export_level_payload`:
+    checkpointed levels enter a factorization as ``resume_nodes``.
+    """
+    out: dict[int, dict] = {}
+    for kind, key in (("leaf", "leaves"), ("internal", "internals")):
+        for nid, entry in payload[key].items():
+            events = [e for e in payload["recovery_events"] if _refactored(e, nid)]
+            out[nid] = {
+                "kind": kind, "node_id": nid, **entry, "recovery_events": events
+            }
+    return out
+
+
 def factorize(
     hmatrix: HMatrix,
     lam: float = 0.0,
     config: SolverConfig | None = None,
     *,
     deadline=None,
-    resume_levels: dict[int, dict] | None = None,
     resume_nodes: dict[int, dict] | None = None,
     on_level=None,
     partial_sink: list | None = None,
@@ -1336,29 +1283,24 @@ def factorize(
         one work unit per node, so a
         :class:`~repro.exceptions.DeadlineExceededError` lands between
         nodes, never inside a BLAS call.
-    resume_levels:
-        ``{level: payload}`` from :meth:`export_level_payload` — the
-        contiguous deepest levels are transplanted instead of recomputed
-        (resume-from-checkpoint; contiguity is enforced here, so a gap
-        falls back to recomputing).
     resume_nodes:
-        ``{node_id: payload}`` from :meth:`export_node_payload` — *node*
-        granularity transplant for incremental updates: clean-subtree
-        factors are restored verbatim (their inputs are unchanged, so a
-        recompute would be bitwise identical) and only the remaining
-        dirty nodes are factored.  Unlike ``resume_levels`` no
-        contiguity is required — validity is the caller's contract that
-        every resumed node's *entire subtree* is unchanged.  Restored
-        nodes charge no deadline work and skip level stacking
-        (:func:`repro.perf.levelbatch.partition_resume`).
+        ``{node_id: payload}`` of prior factors to transplant instead of
+        recompute: :meth:`~HierarchicalFactorization.export_node_payload`
+        entries (incremental updates, degradation rung 2) or
+        :func:`level_payload_nodes` of checkpointed levels.  A node is
+        transplanted if and only if it has a payload and is a leaf or
+        had both children transplanted.  Validity is the caller's
+        contract: a payload must come from a factorization at the same
+        lambda of the same subtree.  Transplanted nodes charge no
+        deadline work.
     on_level:
-        ``on_level(level, fact)`` called after each freshly computed
-        level (the checkpoint write hook).
+        ``on_level(level, fact)`` called after each level that factored
+        a node (the checkpoint write hook).
     partial_sink:
         When given, the factorization-in-progress is appended *before*
         work starts, so a caller catching ``DeadlineExceededError`` can
         inspect ``completed_levels`` and transplant the finished factors
-        (degradation rung 2).
+        (ladder rung 2, :func:`repro.solvers.recovery.robust_factorize`).
 
     Returns
     -------
@@ -1403,7 +1345,6 @@ def factorize(
     fact._factor_subtrees(
         hmatrix.frontier,
         deadline=deadline,
-        resume_levels=resume_levels,
         resume_nodes=resume_nodes,
         on_level=level_done,
     )

@@ -1,20 +1,26 @@
-"""Numerical recovery ladder + solver health reporting (docs/ROBUSTNESS.md).
+"""The fallback ladder + solver health reporting (docs/ROBUSTNESS.md).
 
-When a factorization or solve hits numerical breakdown (an rcond
-estimate below ``RecoveryConfig.rcond_breakdown``, or a GMRES
-Hessenberg breakdown), :func:`robust_factorize` / :func:`robust_solve`
-escalate through a fixed ladder instead of returning garbage:
+The paper's level restriction (section II-C) is why a factorization
+stopped at *any* antichain of skeletonized nodes can still be finished
+by the hybrid reduced solve.  :func:`robust_factorize` builds one ladder
+on it; a breakdown (an rcond estimate below
+``RecoveryConfig.rcond_breakdown``) or a spent deadline escalates
+instead of returning garbage or dying:
 
 1. **lambda bump** — re-regularize the offending diagonal block(s) and
    re-factorize *just that subtree* (checkpointed skeletons make this
    local; implemented in
    :meth:`~repro.solvers.factorization.HierarchicalFactorization._recover_node`);
-2. **frontier fallback** — move the skeletonization frontier one level
-   down and retry with the hybrid method (Algorithm II.6), which never
-   LU-factorizes the coalesced system;
+2. **move the frontier and finish with the hybrid** (Algorithm II.6,
+   which never LU-factorizes the coalesced system): one level down
+   after a :class:`~repro.exceptions.StabilityError`
+   (:func:`descend_frontier`), or up to the deepest completed level
+   after a :class:`~repro.exceptions.DeadlineExceededError`, with the
+   finished factors transplanted;
 3. **iterative fallback** — preconditioned GMRES directly on
    ``lambda I + K~`` (:class:`IterativeFallback`).
 
+:func:`robust_solve` verifies a solve's residual and escalates to GMRES.
 Every rung taken — plus the communication-fault history of distributed
 runs — is recorded in a structured :class:`SolverHealth` report, so a
 result always carries the story of how it was obtained.
@@ -22,15 +28,20 @@ result always carries the story of how it was obtained.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.exceptions import NotFactorizedError, StabilityError
+from repro.exceptions import DeadlineExceededError, NotFactorizedError, StabilityError
 from repro.hmatrix.hmatrix import HMatrix
-from repro.solvers.factorization import HierarchicalFactorization, factorize
+from repro.obs import registry
+from repro.resilience.deadline import Deadline
+from repro.solvers.factorization import (
+    HierarchicalFactorization,
+    factorize,
+    level_payload_nodes,
+)
 from repro.solvers.gmres import gmres, gmres_batched
 from repro.solvers.stability import StabilityReport
 
@@ -49,9 +60,10 @@ class RecoveryEvent:
     """One recovery action: a ladder rung taken or a fault recovered.
 
     ``stage`` is one of ``"lambda_bump"``, ``"escalation"``,
-    ``"frontier_fallback"``, ``"iterative_fallback"``,
-    ``"solve_escalation"``, ``"rank_respawn"``, or ``"repartition"``
-    (elastic subtree reassignment after a permanent rank loss).
+    ``"frontier_fallback"``, ``"frontier_freeze"``,
+    ``"iterative_fallback"``, ``"solve_escalation"``, ``"coarsen"``,
+    ``"rank_respawn"``, or ``"repartition"`` (elastic subtree
+    reassignment after a permanent rank loss).
     """
 
     stage: str
@@ -75,7 +87,7 @@ class SolverHealth:
         from the distributed fabric, summed over ingested launches.
     final_path:
         Which solver ultimately produced the result: the configured
-        method name, ``"hybrid"`` after a frontier fallback, or
+        method name, ``"hybrid"`` after rung 2 moved the frontier, or
         ``"iterative"``.
     """
 
@@ -85,8 +97,6 @@ class SolverHealth:
 
     def record(self, stage: str, node_id: int | None = None, **detail) -> None:
         self.events.append(RecoveryEvent(stage=stage, node_id=node_id, detail=detail))
-        from repro.obs import registry
-
         registry().counter("recovery.events", stage=stage).inc()
 
     @property
@@ -127,12 +137,11 @@ class SolverHealth:
 
 
 def descend_frontier(hmatrix: HMatrix) -> HMatrix | None:
-    """A shallow copy of ``hmatrix`` with the frontier one level deeper.
+    """``hmatrix`` with the frontier one level deeper (:meth:`HMatrix.with_frontier`).
 
     Every non-leaf frontier node whose children are skeletonized is
-    replaced by its children (skeletons, blocks, and the cache are
-    shared — only the factorization boundary moves).  Returns ``None``
-    when no node can descend (the frontier is already all leaves).
+    replaced by its children.  Returns ``None`` when no node can descend
+    (the frontier is already all leaves).
     """
     tree = hmatrix.tree
     new_frontier = []
@@ -147,13 +156,7 @@ def descend_frontier(hmatrix: HMatrix) -> HMatrix | None:
                 moved = True
                 continue
         new_frontier.append(f)
-    if not moved:
-        return None
-    lowered = copy.copy(hmatrix)
-    lowered.frontier = new_frontier
-    lowered._frontier_ids = {f.id for f in new_frontier}
-    lowered._below = lowered._nodes_at_or_below_frontier()
-    return lowered
+    return hmatrix.with_frontier(new_frontier) if moved else None
 
 
 class IterativeFallback:
@@ -230,65 +233,158 @@ def robust_factorize(
     health: SolverHealth | None = None,
     *,
     deadline=None,
-    resume_levels: dict[int, dict] | None = None,
     resume_nodes: dict[int, dict] | None = None,
-    on_level=None,
-    partial_sink: list | None = None,
+    checkpoint=None,
 ) -> tuple[HierarchicalFactorization | IterativeFallback, SolverHealth]:
-    """Factorize with the recovery ladder armed (docs/ROBUSTNESS.md).
+    """Factorize through the fallback ladder (docs/ROBUSTNESS.md).
 
     Returns ``(factorization, health)``; the factorization is an
     :class:`IterativeFallback` if both factorizing rungs failed.  The
     call itself is the opt-in: ``config.recovery.enabled`` is forced on.
+    (:meth:`repro.FastKernelSolver.factorize` runs the same ladder with
+    the configuration as given whenever recovery or resilience is armed.)
 
-    The keyword-only arguments are passed through to
-    :func:`~repro.solvers.factorization.factorize` for the *primary*
-    attempt (deadline charging, checkpoint resume/write hooks; see
-    :mod:`repro.resilience`).  Fallback rungs keep the deadline but not
-    the checkpoint hooks — their factors belong to a different frontier
-    and must not overwrite the primary factorization's levels.
+    ``deadline``, ``resume_nodes`` and ``checkpoint`` (a
+    :class:`repro.resilience.Checkpoint`, whose levels matching
+    ``(lam, config.method)`` are transplanted and which receives each
+    level it factors) serve the *primary* attempt.  A spent deadline
+    degrades when ``config.resilience`` is armed with ``degrade`` on,
+    and propagates otherwise.
     """
     config = config or SolverConfig()
     if not config.recovery.enabled:
         config = replace(config, recovery=replace(config.recovery, enabled=True))
-    health = health or SolverHealth()
+    return _ladder(
+        hmatrix,
+        lam,
+        config,
+        health or SolverHealth(),
+        deadline=deadline,
+        resume_nodes=resume_nodes,
+        checkpoint=checkpoint,
+    )
 
+
+def _ladder(hmatrix, lam, config, health, *, deadline, resume_nodes, checkpoint):
+    """The ladder behind :func:`robust_factorize`, for ``config`` as given."""
+    resume: dict[int, dict] = {}
+    on_level = None
+    if checkpoint is not None:
+        for payload in checkpoint.load_levels(lam=lam, method=config.method).values():
+            resume.update(level_payload_nodes(payload))
+    resume.update(resume_nodes or {})
+    if checkpoint is not None:
+        carried = {id(e) for p in resume.values() for e in p["recovery_events"]}
+        seen = 0
+
+        def on_level(level, fact):
+            nonlocal seen
+            levels = [level]
+            if any(id(e) not in carried for e in fact.recovery_events[seen:]):
+                # a lambda bump at this level re-factorized subtrees whose
+                # deeper levels are already on disk: re-save those so a
+                # later resume never mixes pre- and post-bump factors.
+                levels += [lv for lv in fact.completed_levels if lv > level]
+            seen = len(fact.recovery_events)
+            for lv in levels:
+                checkpoint.save_level(
+                    lv, fact.export_level_payload(lv), lam=lam, method=config.method
+                )
+
+    partial: list[HierarchicalFactorization] = []
+    rung3: dict = {}
     try:
-        fact = factorize(
-            hmatrix,
+        # ---- rung 1: the configured method, lambda bumps inside ---------
+        try:
+            fact = factorize(
+                hmatrix,
+                lam,
+                config,
+                deadline=deadline,
+                resume_nodes=resume,
+                on_level=on_level,
+                partial_sink=partial,
+            )
+            health.ingest_factorization(fact)
+            health.final_path = config.method
+            return fact, health
+        except StabilityError as exc:
+            health.record("escalation", rung="factorize", error=repr(exc))
+        # ---- rung 2 after a breakdown: the frontier one level down -------
+        lowered = descend_frontier(hmatrix)
+        fact = _finish_hybrid(
+            lowered if lowered is not None else hmatrix,
             lam,
             config,
-            deadline=deadline,
-            resume_levels=resume_levels,
-            resume_nodes=resume_nodes,
-            on_level=on_level,
-            partial_sink=partial_sink,
-        )
-        health.ingest_factorization(fact)
-        health.final_path = config.method
-        return fact, health
-    except StabilityError as exc:
-        health.record("escalation", rung="factorize", error=repr(exc))
-
-    lowered = descend_frontier(hmatrix)
-    target = lowered if lowered is not None else hmatrix
-    hybrid_config = replace(config, method="hybrid")
-    try:
-        fact = factorize(target, lam, hybrid_config, deadline=deadline)
-        health.ingest_factorization(fact)
-        health.record(
+            health,
             "frontier_fallback",
+            deadline=deadline,
             descended=lowered is not None,
-            frontier_size=len(target.frontier),
         )
-        health.final_path = "hybrid"
+    except DeadlineExceededError as exc:
+        res = config.resilience
+        if not (res.active and res.degrade):
+            raise
+        health.record("escalation", rung="deadline", error=repr(exc))
+        # ---- rung 2 after a spent deadline: the deepest completed level --
+        fact0 = partial[0]
+        cut = min(fact0.completed_levels, default=0)
+        fact = None
+        # a frontier at the root (level 0) is the whole problem: the
+        # reduced system would be as big as the original.
+        if cut >= 1:
+            frontier = [f for f in hmatrix.frontier if f.level > cut]
+            frontier += [
+                n for n in hmatrix._nodes_at_or_below_frontier() if n.level == cut
+            ]
+            fact = _finish_hybrid(
+                hmatrix.with_frontier(sorted(frontier, key=lambda n: n.lo)),
+                lam,
+                config,
+                health,
+                "frontier_freeze",
+                # the budget already spoke: the cheap tail runs unlimited.
+                deadline=Deadline(),
+                resume_nodes={
+                    nid: fact0.export_node_payload(nid)
+                    for nid in (*fact0.leaf_factors, *fact0.node_factors)
+                },
+                level=cut,
+            )
+        rung = "frontier_freeze" if fact is not None else "iterative"
+        registry().counter("resilience.degradation", rung=rung).inc()
+        rung3 = {"rung": "deadline"}
+    if fact is not None:
         return fact, health
-    except StabilityError as exc:
-        health.record("escalation", rung="frontier_fallback", error=repr(exc))
 
-    health.record("iterative_fallback")
+    # ---- rung 3: iterative fallback -------------------------------------
+    health.record("iterative_fallback", **rung3)
     health.final_path = "iterative"
     return IterativeFallback(hmatrix, lam, config), health
+
+
+def _finish_hybrid(
+    target, lam, config, health, stage, *, deadline, resume_nodes=None, **detail
+):
+    """Rung 2: the hybrid method below ``target``'s moved frontier.
+
+    Returns the factorization, or ``None`` after a breakdown.
+    """
+    try:
+        fact = factorize(
+            target,
+            lam,
+            replace(config, method="hybrid"),
+            deadline=deadline,
+            resume_nodes=resume_nodes,
+        )
+    except StabilityError as exc:
+        health.record("escalation", rung=stage, error=repr(exc))
+        return None
+    health.ingest_factorization(fact)
+    health.record(stage, **detail, frontier_size=len(target.frontier))
+    health.final_path = "hybrid"
+    return fact
 
 
 def robust_solve(

@@ -24,21 +24,9 @@ from repro.perf import (
     default_cache,
     set_default_cache,
 )
-from repro.perfmodel.machine import PYTHON_NODE, MachineSpec
 from repro.solvers import factorize
 
 RNG = np.random.default_rng(77)
-
-#: machine on which recomputation is modeled as free and memory reads as
-#: ruinously slow — the policy must decline every store.
-NEVER_STORE = MachineSpec(
-    name="infinite-compute strawman",
-    peak_gflops=1e9,
-    gemm_efficiency=1.0,
-    stream_bw_gbs=1e-9,
-    exp_gelems=1e9,
-    fused_efficiency=1.0,
-)
 
 
 @pytest.fixture
@@ -157,32 +145,34 @@ class TestCounters:
 
 class TestPolicy:
     def test_python_node_stores_typical_blocks(self):
-        cache = BlockCache(machine=PYTHON_NODE)
-        assert cache.should_store(BlockInfo(m=64, n=64, d=4))
+        cache = BlockCache()
+        assert cache.should_store(BlockInfo(m=64, n=64))
         assert cache.should_store(None)
 
     def test_policy_can_decline(self):
-        cache = BlockCache(machine=NEVER_STORE)
-        assert not cache.should_store(BlockInfo(m=64, n=64, d=4))
+        # the budget is the only admission rule: a block larger than it
+        # is declined.
+        cache = BlockCache(budget_words=64 * 64 - 1)
+        assert not cache.should_store(BlockInfo(m=64, n=64))
 
     def test_offer_declines_without_computing(self):
-        cache = BlockCache(machine=NEVER_STORE)
+        cache = BlockCache(budget_words=8 * 8 - 1)
 
         def factory():  # pragma: no cover - must never run
             raise AssertionError("offer computed a declined block")
 
-        assert cache.offer(("t", 1), factory, BlockInfo(m=8, n=8, d=2)) is None
+        assert cache.offer(("t", 1), factory, BlockInfo(m=8, n=8)) is None
         assert cache.stats().rejections == 1
 
     def test_offer_over_budget_declines(self):
         cache = BlockCache(budget_words=10)
-        out = cache.offer(("t", 1), lambda: np.zeros(64), BlockInfo(m=8, n=8, d=2))
+        out = cache.offer(("t", 1), lambda: np.zeros(64), BlockInfo(m=8, n=8))
         assert out is None
         assert cache.words == 0
 
     def test_get_or_compute_returns_even_when_declined(self):
-        cache = BlockCache(machine=NEVER_STORE)
-        info = BlockInfo(m=64, n=64, d=4)
+        cache = BlockCache(budget_words=64 * 64 - 1)
+        info = BlockInfo(m=64, n=64)
         assert not cache.should_store(info)
         block = cache.get_or_compute(("t", 1), lambda: np.ones(9), info)
         assert block.sum() == 9

@@ -221,6 +221,66 @@ class TestResumeIdentity:
             FastKernelSolver.resume(tmp_path / "cp")
 
 
+class TestLevelPayloadLayout:
+    """The ``repro.checkpoint/v1`` ``level_NNN`` payload layout, pinned:
+    a change to how factors are transplanted must keep reading the
+    checkpoint directories written today."""
+
+    LEVEL_KEYS = {"level", "lam", "leaves", "internals", "recovery_events"}
+    LEAF_KEYS = {"lu", "piv", "phat", "rcond", "anorm", "lam_extra"}
+    INTERNAL_KEYS = {"z_lu", "piv", "s_l", "s_r", "phat", "rcond"}
+
+    def level_payloads(self, directory):
+        cp = Checkpoint(directory, mode="inspect")
+        names = sorted(n for n in cp.names() if n.startswith("level_"))
+        assert names
+        for name in names:
+            meta = cp.meta(name)
+            payload = cp.load(name)
+            assert name == Checkpoint.level_name(meta["level"])
+            assert payload["level"] == meta["level"]
+            assert payload["lam"] == meta["lam"]
+            yield payload
+
+    def test_level_payload_keys(self, tmp_path):
+        make_solver(tmp_path / "cp").fit(X).factorize(0.5)
+        kinds = set()
+        for payload in self.level_payloads(tmp_path / "cp"):
+            assert set(payload) == self.LEVEL_KEYS
+            assert payload["lam"] == 0.5
+            for nid, entry in payload["leaves"].items():
+                assert isinstance(nid, int)
+                assert set(entry) == self.LEAF_KEYS
+                kinds.add("leaf")
+            for nid, entry in payload["internals"].items():
+                assert isinstance(nid, int)
+                assert set(entry) == self.INTERNAL_KEYS
+                kinds.add("internal")
+        assert kinds == {"leaf", "internal"}
+
+    @pytest.mark.filterwarnings("ignore::repro.exceptions.StabilityWarning")
+    def test_level_payload_recovery_events(self, tmp_path):
+        gen = np.random.default_rng(0)
+        solver = FastKernelSolver(
+            GaussianKernel(bandwidth=8.0),  # near rank-1: breaks plain LU
+            tree_config=TreeConfig(leaf_size=32),
+            skeleton_config=SkeletonConfig(rank=16),
+            solver_config=SolverConfig(
+                recovery=RecoveryConfig(enabled=True),
+                resilience=ResilienceConfig(checkpoint_dir=str(tmp_path / "cp")),
+            ),
+        ).fit(gen.standard_normal((256, 3)))
+        solver.factorize(0.0)
+        events = [
+            e
+            for payload in self.level_payloads(tmp_path / "cp")
+            for e in payload["recovery_events"]
+        ]
+        assert events
+        for event in events:
+            assert {"stage", "node_id"} <= set(event)
+
+
 class TestRecoveryLadderRoundtrip:
     """Satellite: a solver that traversed the recovery ladder must
     survive checkpoint save/load with its scars intact."""

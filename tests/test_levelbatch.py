@@ -40,6 +40,7 @@ from repro.perf.levelbatch import (
 )
 from repro.skeleton.skeletonize import skeletonize
 from repro.solvers import factorize
+from repro.solvers.factorization import level_payload_nodes
 from repro.tree import BallTree
 from repro.util import lapack
 from repro.util.flops import FlopCounter
@@ -500,11 +501,10 @@ class TestSerializationSeams:
 
     def test_level_payload_resume_bitwise(self, hmat, parity):
         batched, _ = parity
-        payloads = {
-            lvl: batched.export_level_payload(lvl)
-            for lvl in batched.completed_levels
-        }
-        resumed = factorize(hmat, 0.7, SolverConfig(), resume_levels=payloads)
+        payloads = {}
+        for lvl in batched.completed_levels:
+            payloads.update(level_payload_nodes(batched.export_level_payload(lvl)))
+        resumed = factorize(hmat, 0.7, SolverConfig(), resume_nodes=payloads)
         assert np.array_equal(resumed.solve(U), batched.solve(U))
         assert resumed.slogdet() == batched.slogdet()
 

@@ -116,6 +116,83 @@ class TestModelRegistry:
         with pytest.raises(KeyError):
             reg.get(fa)
 
+    def test_budget_recharged_after_hybrid_assembly(self):
+        # two hybrid residents fit the budget at admission; serving one
+        # past its assembly threshold adds its S^2-word reduced operator,
+        # which the batch's count_solve must charge.
+        a = _make_solver(n=512, bandwidth=1.0, seed=1, method="hybrid", level=2)
+        b = _make_solver(n=512, bandwidth=2.0, seed=2, method="hybrid", level=2)
+        probe = ModelRegistry()
+        words = sum(probe.get(probe.register(s)).storage_words for s in (a, b))
+        reg = ModelRegistry(budget_words=words)
+        fa, fb = reg.register(a), reg.register(b)
+        assert reg.fingerprints() == [fa, fb]
+        U = RNG.standard_normal((a.n_points, 4))
+        for _ in range(20):
+            if a.factorization.reduced_operator == "assembled":
+                break
+            a.solve(U)
+        assert a.factorization.reduced_operator == "assembled"
+        reg.count_solve(fa)
+        assert reg.fingerprints() == [fa]
+        held = a.hmatrix.storage_words() + a.factorization.storage_words()
+        assert reg.get(fa).storage_words == held
+        assert reg.stats()["resident_words"] <= reg.budget_words
+
+    def test_resident_that_alone_outgrows_the_budget_is_evicted(self):
+        # admission refuses a model that alone exceeds the budget rather
+        # than evicting everything else; a resident that outgrows it
+        # while serving is treated the same way.
+        a = _make_solver(n=512, bandwidth=1.0, seed=1, method="hybrid", level=2)
+        c = _make_solver(n=128, seed=3)
+        probe = ModelRegistry()
+        words = sum(probe.get(probe.register(s)).storage_words for s in (a, c))
+        reg = ModelRegistry(budget_words=words)
+        fa, fc = reg.register(a), reg.register(c)
+        U = RNG.standard_normal((a.n_points, 4))
+        for _ in range(20):
+            if a.factorization.reduced_operator == "assembled":
+                break
+            a.solve(U)
+        assert a.hmatrix.storage_words() + a.factorization.storage_words() > words
+        reg.count_solve(fa)
+        assert reg.fingerprints() == [fc]
+        assert reg.stats()["resident_words"] <= reg.budget_words
+
+    def test_count_solve_measures_only_after_growth(self, monkeypatch):
+        from repro.perf import BlockCache, set_default_cache
+        from repro.serve import registry as registry_module
+
+        previous = set_default_cache(BlockCache())  # unbudgeted: no thrash
+        try:
+            s = _make_solver(n=384, seed=4)
+        finally:
+            set_default_cache(previous)
+        reg = ModelRegistry(budget_words=10**9)
+        fp = reg.register(s)
+        measure = registry_module._model_words
+        calls = []
+
+        def counted(solver):
+            calls.append(solver)
+            return measure(solver)
+
+        monkeypatch.setattr(registry_module, "_model_words", counted)
+        u = RNG.standard_normal(s.n_points)
+        s.solve(u)  # fills the blocks the solve reads
+        reg.count_solve(fp)
+        cache = s.hmatrix.cache
+        stores = cache.stores
+        calls.clear()
+        for _ in range(3):
+            s.solve(u)
+            reg.count_solve(fp)
+        assert cache.stores == stores and calls == []
+        assert reg.get(fp).solves == 4
+        cache.put(("count_solve", 0), np.zeros(8))  # a store may be growth
+        reg.count_solve(fp)
+        assert calls == [s]
+
     def test_oversized_model_refused(self, solver):
         reg = ModelRegistry(budget_words=10)
         with pytest.raises(OverloadedError):

@@ -9,17 +9,29 @@ approximation error, not the update machinery, is the accuracy floor.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.config import SkeletonConfig, SolverConfig, TreeConfig
+from repro.config import (
+    RecoveryConfig,
+    ResilienceConfig,
+    SkeletonConfig,
+    SolverConfig,
+    TreeConfig,
+)
 from repro.core.solver import FastKernelSolver
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    DeadlineExceededError,
+)
 from repro.kernels import GaussianKernel, MaternKernel
 from repro.obs import registry
 from repro.perf import configure_default_cache
 from repro.resilience.checkpoint import Checkpoint
+from repro.solvers.recovery import SolverHealth
 
 RNG = np.random.default_rng(42)
 
@@ -372,6 +384,73 @@ class TestFingerprintAndCheckpoint:
         u = np.random.default_rng(14).standard_normal(solver.n_points)
         assert np.array_equal(resumed.solve(u), solver.solve(u))
 
+    def checkpointed(self, X, tmp_path):
+        config = SolverConfig(
+            resilience=ResilienceConfig(checkpoint_dir=str(tmp_path))
+        )
+        solver = make_solver(X, num_samples=256, solver_config=config)
+        solver.factorize(1.0)
+        return solver
+
+    @staticmethod
+    def die_after_first_level(monkeypatch):
+        class Killed(Exception):
+            pass
+
+        save_level = Checkpoint.save_level
+        calls = []
+
+        def save_then_die(self, level, payload, **kwargs):
+            save_level(self, level, payload, **kwargs)
+            calls.append(level)
+            if len(calls) == 1:
+                raise Killed
+
+        monkeypatch.setattr(Checkpoint, "save_level", save_then_die)
+        return Killed
+
+    def test_failed_update_puts_the_checkpoint_back(
+        self, X, tmp_path, monkeypatch
+    ):
+        """The refactorization writes the updated model level by level;
+        an update that then raises rolls the solver back and must put
+        the directory back in step with it."""
+        solver = self.checkpointed(X, tmp_path)
+        killed = self.die_after_first_level(monkeypatch)
+        with pytest.raises(killed):
+            solver.update(X_insert=clustered_inserts(X, 4))
+        assert solver.n_points == len(X)
+
+        resumed = FastKernelSolver.resume(str(tmp_path))
+        assert resumed.fingerprint() == solver.fingerprint()
+        u = np.random.default_rng(15).standard_normal(solver.n_points)
+        assert np.array_equal(resumed.solve(u), solver.solve(u))
+
+    def test_kill_mid_update_leaves_a_resumable_checkpoint(
+        self, X, tmp_path, monkeypatch
+    ):
+        """A process killed after the update's first level lands runs no
+        rollback (``apply_update`` is called bare here): the directory
+        holds the updated model, which resume() returns and factorize()
+        finishes."""
+        from repro.core.update import apply_update
+
+        solver = self.checkpointed(X, tmp_path)
+        Xi = clustered_inserts(X, 4)
+        killed = self.die_after_first_level(monkeypatch)
+        with pytest.raises(killed):
+            apply_update(solver, X_insert=Xi)
+        monkeypatch.undo()
+
+        resumed = FastKernelSolver.resume(str(tmp_path))
+        assert resumed.n_points == len(X) + len(Xi)
+        resumed.factorize(1.0)
+        reference = make_solver(X, num_samples=256)
+        reference.factorize(1.0)
+        reference.update(X_insert=Xi)
+        u = np.random.default_rng(15).standard_normal(reference.n_points)
+        assert rel_err(resumed.solve(u), reference.solve(u)) < 1e-12
+
     def test_resume_rejects_stale_skeletons(self, X, tmp_path):
         """Point-count mismatch between payloads → typed CheckpointError."""
         solver = make_solver(X, num_samples=256)
@@ -387,3 +466,238 @@ class TestFingerprintAndCheckpoint:
         cp.save("skeletons", small.hmatrix)
         with pytest.raises(CheckpointError, match="updated without"):
             FastKernelSolver.resume(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# one factorization path: kernel and point updates refactorize as
+# factorize() does (recovery, pipeline deadline, checkpoints, health)
+# ---------------------------------------------------------------------------
+def small_solver(X, solver_config):
+    return FastKernelSolver(
+        GaussianKernel(bandwidth=2.0),
+        tree_config=TreeConfig(leaf_size=32, seed=1),
+        skeleton_config=SkeletonConfig(
+            tau=1e-8, num_samples=128, num_neighbors=8, seed=2
+        ),
+        solver_config=solver_config,
+    ).fit(X)
+
+
+def break_down_once_above(solver, point, monkeypatch):
+    """Report one breakdown at the parent of the leaf holding ``point``,
+    the first time that node is factored; returns the node's id."""
+    from repro.solvers.factorization import HierarchicalFactorization
+
+    tree = solver.hmatrix.tree
+    parent = tree.leaf_of_position(int(tree.iperm[point])).id // 2
+    group = HierarchicalFactorization._factor_internal_group
+    forced = []
+
+    def break_once(self, nodes, key, stacks, broken):
+        group(self, nodes, key, stacks, broken)
+        for node in nodes:
+            if node.id == parent and not forced:
+                forced.append(node.id)
+                broken.append((node, "forced breakdown"))
+
+    monkeypatch.setattr(
+        HierarchicalFactorization, "_factor_internal_group", break_once
+    )
+    return parent
+
+
+class TestOneFactorizationPath:
+    @pytest.fixture()
+    def X(self):
+        return np.random.default_rng(23).standard_normal((256, 3))
+
+    @pytest.mark.parametrize("armed", ["none", "recovery", "deadline", "checkpoint"])
+    @pytest.mark.parametrize(
+        "mode", ["lambda", "kernel", "insert", "delete", "rebuild"]
+    )
+    def test_health_after_every_update_mode(self, X, armed, mode, tmp_path):
+        resilience = {
+            "deadline": ResilienceConfig(work_budget=10**6),
+            "checkpoint": ResilienceConfig(checkpoint_dir=str(tmp_path)),
+        }.get(armed, ResilienceConfig())
+        config = SolverConfig(
+            recovery=RecoveryConfig(enabled=armed == "recovery"),
+            resilience=resilience,
+            update_rebuild_threshold=1e-6 if mode == "rebuild" else 0.25,
+        )
+        solver = small_solver(X, config)
+        solver.factorize(1.0)
+        update = {
+            "lambda": dict(lam=2.0),
+            "kernel": dict(kernel_params={"bandwidth": 2.5}),
+            "insert": dict(X_insert=clustered_inserts(X, 2)),
+            "delete": dict(X_delete=np.array([0])),
+            "rebuild": dict(X_insert=clustered_inserts(X, 2)),
+        }[mode]
+        solver.update(**update)
+        expected = {"insert": "incremental", "delete": "incremental"}
+        assert solver.last_update.mode == expected.get(mode, mode)
+        if armed == "none":
+            assert solver.health is None
+        else:
+            assert isinstance(solver.health, SolverHealth)
+
+    def test_incremental_insert_charges_the_pipeline_budget(self, X):
+        solver = small_solver(
+            X, SolverConfig(resilience=ResilienceConfig(work_budget=10**6))
+        )
+        solver.factorize(1.0)
+        budget = solver._deadline.budget
+        charged = {}
+        for name, update in (
+            ("lambda", dict(lam=2.0)),
+            ("insert", dict(X_insert=clustered_inserts(X, 2))),
+        ):
+            used = budget.used
+            solver.update(**update)
+            charged[name] = budget.used - used
+            # one unit per refactored node; transplanted nodes are free
+            assert charged[name] == solver.last_update.nodes_refactored
+        assert solver.last_update.mode == "incremental"
+        assert 0 < charged["insert"] < charged["lambda"]
+
+    def test_spent_deadline_leaves_the_solver_as_it_was(self, X):
+        solver = small_solver(
+            X,
+            SolverConfig(
+                resilience=ResilienceConfig(work_budget=10**6, degrade=False)
+            ),
+        )
+        solver.factorize(1.0)
+        before = dict(solver.__dict__)
+        budget = solver._deadline.budget
+        budget.limit = budget.used  # the next node charge trips it
+        with pytest.raises(DeadlineExceededError):
+            solver.update(X_insert=clustered_inserts(X, 2))
+        assert solver.__dict__ == before
+        assert solver.n_points == len(X)
+
+    def test_insert_keeps_transplanted_lambda_bump_events(self):
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((256, 3))
+        solver = FastKernelSolver(
+            GaussianKernel(bandwidth=8.0),  # near rank-1: breaks plain LU
+            tree_config=TreeConfig(leaf_size=32),
+            skeleton_config=SkeletonConfig(rank=16),
+            solver_config=SolverConfig(recovery=RecoveryConfig(enabled=True)),
+        ).fit(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solver.factorize(0.0)
+            old = solver.factorization
+            bumps = {
+                e["node_id"]: e
+                for e in old.recovery_events
+                if e["stage"] == "lambda_bump"
+            }
+            assert bumps
+            solver.update(X_insert=clustered_inserts(X, 2, scale=0.01))
+        new = solver.factorization
+        assert solver.last_update.mode == "incremental"
+        transplanted = {
+            nid
+            for nid in bumps
+            if nid in new.leaf_factors
+            and new.leaf_factors[nid].lu[0] is old.leaf_factors[nid].lu[0]
+        }
+        assert transplanted
+        kept = {e["node_id"]: e for e in new.recovery_events}
+        in_health = {
+            e.node_id for e in solver.health.events if e.stage == "lambda_bump"
+        }
+        for nid in transplanted:
+            assert kept.get(nid) == bumps[nid]
+            assert nid in in_health
+
+    def test_insert_keeps_an_internal_bump_with_its_transplanted_leaves(
+        self, X, monkeypatch
+    ):
+        """A breakdown at an internal node bumps every leaf below it.
+        When an insert dirties that node but not all its leaves, the
+        clean leaves keep their bump, so they must keep its event."""
+        solver = small_solver(
+            X, SolverConfig(recovery=RecoveryConfig(enabled=True))
+        )
+        parent = break_down_once_above(solver, 7, monkeypatch)
+        solver.factorize(1.0)
+        old = solver.factorization
+        (event,) = [e for e in old.recovery_events if e["node_id"] == parent]
+
+        solver.update(X_insert=clustered_inserts(X, 2, scale=0.01))
+        new = solver.factorization
+        assert solver.last_update.mode == "incremental"
+        refactored = new.node_factors[parent].z_lu[0]
+        assert refactored is not old.node_factors[parent].z_lu[0]
+        kept = [
+            leaf
+            for leaf in (2 * parent, 2 * parent + 1)
+            if new.leaf_factors[leaf].lu[0] is old.leaf_factors[leaf].lu[0]
+        ]
+        assert kept and all(new._lam_extra[leaf] > 0 for leaf in kept)
+        assert new.recovery_events.count(event) == 1
+        assert parent in {
+            e.node_id for e in solver.health.events if e.stage == "lambda_bump"
+        }
+
+    def test_checkpointed_insert_writes_each_payload_once(
+        self, X, tmp_path, monkeypatch
+    ):
+        """The refactorization writes the model and each level it factors;
+        the update then adds only ``state``.  Events carried in by
+        transplanted nodes are no reason to write a level again."""
+        solver = small_solver(
+            X,
+            SolverConfig(
+                recovery=RecoveryConfig(enabled=True),
+                resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
+            ),
+        )
+        break_down_once_above(solver, 7, monkeypatch)
+        solver.factorize(1.0)
+        assert solver.factorization.recovery_events
+        save = Checkpoint.save
+        names = []
+
+        def counted(self, name, obj, meta=None):
+            names.append(name)
+            save(self, name, obj, meta)
+
+        monkeypatch.setattr(Checkpoint, "save", counted)
+        solver.update(X_insert=clustered_inserts(X, 2, scale=0.01))
+        assert solver.last_update.mode == "incremental"
+        assert solver.factorization.recovery_events
+        levels = {
+            Checkpoint.level_name(lv)
+            for lv in solver.factorization.completed_levels
+        }
+        assert sorted(names) == sorted({"solver", "skeletons", "state"} | levels)
+
+    def test_resumed_internal_bump_is_recorded_once(self, X, tmp_path, monkeypatch):
+        """A node and every node below it carry its bump's event; a resume
+        that transplants them all records the event once."""
+        solver = small_solver(
+            X,
+            SolverConfig(
+                recovery=RecoveryConfig(enabled=True),
+                resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
+            ),
+        )
+        parent = break_down_once_above(solver, 7, monkeypatch)
+        solver.factorize(1.0)
+        (event,) = [
+            e for e in solver.factorization.recovery_events if e["node_id"] == parent
+        ]
+        resumed = FastKernelSolver.resume(str(tmp_path))
+        resumed.factorize(1.0)  # every node from the checkpointed levels
+        fact = resumed.factorization
+        assert fact.nodes_resumed == len(fact.leaf_factors) + len(fact.node_factors)
+        assert [e for e in fact.recovery_events if e["node_id"] == parent] == [event]
+        bumps = [e for e in resumed.health.events if e.stage == "lambda_bump"]
+        assert [e.node_id for e in bumps].count(parent) == 1
+        u = np.random.default_rng(16).standard_normal(solver.n_points)
+        assert np.array_equal(resumed.solve(u), solver.solve(u))
