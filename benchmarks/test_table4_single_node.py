@@ -54,20 +54,6 @@ def _build(summation):
     )
 
 
-def _v_block_words(fact) -> int:
-    """Persistent storage of the off-diagonal V blocks only."""
-    words = 0
-    for nf in fact.node_factors.values():
-        words += nf.vblock_l.storage_words + nf.vblock_r.storage_words
-    if fact.reduced is not None:
-        seen = set()
-        for block in fact.reduced.pair_blocks.values():
-            if id(block) not in seen:
-                words += block.storage_words
-                seen.add(id(block))
-    return words
-
-
 def _modeled_seconds(machine, scheme: str, flops: int, mops: int, evals: int) -> float:
     """Scheme-specific node-time model (mirrors the Table I models).
 
@@ -110,7 +96,7 @@ def test_table4_single_node(benchmark):
         modeled = _modeled_seconds(
             HASWELL_NODE, scheme, fc_s.flops, fc_s.mops, fc_s.kernel_evals
         )
-        rows.append((scheme, ts, fc_s.flops, fc_s.mops, modeled, _v_block_words(fact), res))
+        rows.append((scheme, ts, fc_s.flops, fc_s.mops, modeled, fact.vblock_words(), res))
         if scheme == "precomputed":
             factor_stats = (tf, fc_f.flops)
             bench_fact = fact

@@ -561,7 +561,12 @@ class FastKernelSolver:
             )
         if cp.has("state"):
             state = cp.load("state")
-            solver.factorization = state["factorization"]
+            fact = state["factorization"]
+            # the payload pickles its own H-matrix copy: read blocks
+            # through the solver's namespace instead, at the frontier the
+            # factorization was built on (the fallback ladder moves it).
+            fact.hmatrix = solver.hmatrix.with_frontier(fact.hmatrix.frontier)
+            solver.factorization = fact
             solver.health = state["health"]
             if state.get("times") is not None:
                 solver.times = state["times"]

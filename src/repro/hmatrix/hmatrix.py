@@ -4,19 +4,20 @@ All vectors here live in *tree order* (the ball tree's permutation);
 the :class:`~repro.core.solver.FastKernelSolver` facade translates to
 and from user order.
 
-Dense block payloads (leaf diagonal blocks and the skeleton-row blocks
-of PRECOMPUTED summations) live in a shared
-:class:`~repro.perf.BlockCache` under this matrix's namespace, so the
-storage budget applies uniformly; the
-lightweight :class:`~repro.kernels.summation.KernelSummation` wrappers
-are memoized per node under the cache's striped locks, which lets the
-task-parallel factorization executor fill different blocks
-concurrently.
+The H-matrix is the one owner of kernel blocks: the treecode products,
+the factorization and the reduced frontier system all read them through
+:meth:`HMatrix.leaf_block`, :meth:`HMatrix.sibling_block` and
+:meth:`HMatrix.pair_block`.  Dense payloads (leaf diagonal blocks and
+the skeleton-row blocks of PRECOMPUTED summations) live in a shared
+:class:`~repro.perf.BlockCache` under one namespace per model, so the
+storage budget applies uniformly; the lightweight
+:class:`~repro.kernels.summation.KernelSummation` wrappers are memoized
+per block under the cache's striped locks, which lets the task-parallel
+factorization executor fill different blocks concurrently.
 """
 
 from __future__ import annotations
 
-import copy
 import weakref
 
 import numpy as np
@@ -35,6 +36,22 @@ from repro.util.flops import count_flops
 from repro.util.validation import check_points, check_vector
 
 __all__ = ["HMatrix", "build_hmatrix"]
+
+
+class _Namespace:
+    """Owner token of one key prefix in a :class:`~repro.perf.BlockCache`.
+
+    An H-matrix and its :meth:`HMatrix.with_frontier` copies hold the
+    same token; the cache drops the prefix's blocks when the token is
+    collected, i.e. with the last of them (the cache is process-wide and
+    would otherwise pin them forever).
+    """
+
+    __slots__ = ("key", "__weakref__")
+
+    def __init__(self, cache: BlockCache) -> None:
+        self.key = next_namespace()
+        weakref.finalize(self, cache.drop_prefix, self.key)
 
 
 class HMatrix:
@@ -71,40 +88,29 @@ class HMatrix:
         self.kernel = kernel
         self.skeletons = skeletons
         self.summation = SummationMethod(summation)
-        self.frontier: list[Node] = skeletons.frontier()
-        self._frontier_ids = {f.id for f in self.frontier}
-        self._below: list[Node] = self._nodes_at_or_below_frontier()
+        self._set_frontier(skeletons.frontier())
         self._workspace = GSKSWorkspace()
         #: tree-wide squared norms, shared by every GSKS call site.
         self.norms = NormTable(tree.points, kernel)
         self._attach_cache(cache if cache is not None else default_cache())
-        # memoized summation wrappers (dense payloads live in the cache;
-        # fills are guarded per key by the cache's striped locks).
-        self._sibling_blocks: dict[int, KernelSummation] = {}
-        self._frontier_blocks: dict[int, KernelSummation] = {}
-        self._own_blocks: dict[int, KernelSummation] = {}
-        self._pair_blocks: dict[tuple, KernelSummation] = {}
 
     def _attach_cache(self, cache: BlockCache) -> None:
         self.cache = cache
-        self._ns = next_namespace()
-        # release this matrix's blocks when it is garbage collected (the
-        # cache is process-wide and would otherwise pin them forever).
-        self._finalizer = weakref.finalize(self, cache.drop_prefix, self._ns)
+        self._space = _Namespace(cache)
+        self._ns = self._space.key
+        # memoized summation wrappers (dense payloads live in the cache;
+        # fills are guarded per key by the cache's striped locks).
+        self._sibling_blocks: dict[int, KernelSummation] = {}
+        self._pair_blocks: dict[tuple[int, int], KernelSummation] = {}
 
     # -- pickling: cache handles are process-local ------------------------
     def __getstate__(self):
+        # the summation wrappers hold cache handles; the receiver rebuilds
+        # them (kernel evaluation is deterministic, so rebuilt blocks are
+        # bitwise identical).
         state = dict(self.__dict__)
-        state.pop("cache")
-        state.pop("_ns")
-        state.pop("_finalizer")
-        # summation wrappers are lazy caches holding cache handles; the
-        # receiver rebuilds them (kernel evaluation is deterministic, so
-        # rebuilt blocks are bitwise identical).
-        state["_sibling_blocks"] = {}
-        state["_frontier_blocks"] = {}
-        state["_own_blocks"] = {}
-        state["_pair_blocks"] = {}
+        for name in ("cache", "_space", "_ns", "_sibling_blocks", "_pair_blocks"):
+            del state[name]
         return state
 
     def __setstate__(self, state):
@@ -127,14 +133,18 @@ class HMatrix:
         The level restriction of paper section II-C: any antichain of
         skeletonized nodes that partitions the points can bound the
         factorization, and the hybrid reduced solve finishes above it.
-        Tree, skeletons, blocks and the cache are shared; only the
-        factorization boundary moves.
+        Tree, skeletons, the cache, its namespace and the memoized blocks
+        are shared (a block filled through either is a hit through the
+        other); only the factorization boundary moves.
         """
-        moved = copy.copy(self)
-        moved.frontier = list(frontier)
-        moved._frontier_ids = {f.id for f in moved.frontier}
-        moved._below = moved._nodes_at_or_below_frontier()
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__)
+        moved._set_frontier(frontier)
         return moved
+
+    def _set_frontier(self, frontier: list[Node]) -> None:
+        self.frontier: list[Node] = list(frontier)
+        self._below: list[Node] = self._nodes_at_or_below_frontier()
 
     def _nodes_at_or_below_frontier(self) -> list[Node]:
         out: list[Node] = []
@@ -201,55 +211,29 @@ class HMatrix:
         nrm = self.norms.node(leaf)
         return self.kernel(pts, pts, norms_a=nrm, norms_b=nrm)
 
-    def materialize_blocks(
-        self, summs: list[KernelSummation]
-    ) -> list[np.ndarray | None]:
-        """Dense payloads for a same-shaped group of summation blocks.
-
-        Batched-cache-fill version of ``KernelSummation._stored()``: one
-        stacked kernel evaluation covers the group's cache misses; a
-        ``None`` entry means the block stays matrix-free and the caller
-        must use its ``matvec`` (exactly as a single product would).
-        """
-        from repro.perf import levelbatch
-
-        return levelbatch.materialize_summations(summs)
-
-    def _summation(
-        self,
-        store: dict,
-        obj_key,
-        rows: np.ndarray,
-        node: Node | None,
-        method: SummationMethod,
-        cache_kind: str | None,
-        *,
-        norms_a: np.ndarray | None,
-        norms_b: np.ndarray | None,
-        XB: np.ndarray | None = None,
+    def _skeleton_rows(
+        self, store: dict, obj_key, kind: str, a: Node, b_id: int
     ) -> KernelSummation:
-        """Memoize one KernelSummation under a striped lock."""
+        """Memoized ``K_{a~ b}`` — skeleton rows of ``a`` against the raw
+        points of node ``b_id`` — under a striped lock."""
         ks = store.get(obj_key)
         if ks is not None:
             return ks
         with self.cache.key_lock((self._ns, "obj", obj_key)):
             ks = store.get(obj_key)
             if ks is None:
-                if XB is None:
-                    XB = self.tree.node_points(node)
-                cache_key = (
-                    (self._ns, cache_kind, obj_key) if cache_kind else None
-                )
+                sk = self.skeletons[a.id]
+                b = self.tree.node(b_id)
                 ks = KernelSummation(
                     self.kernel,
-                    rows,
-                    XB,
-                    method,
+                    self.tree.points[sk.skeleton],
+                    self.tree.node_points(b),
+                    self.summation,
                     workspace=self._workspace,
-                    norms_a=norms_a,
-                    norms_b=norms_b,
-                    cache=self.cache if cache_key else None,
-                    cache_key=cache_key,
+                    norms_a=self.norms.gather(sk.skeleton),
+                    norms_b=self.norms.node(b),
+                    cache=self.cache,
+                    cache_key=(self._ns, kind, obj_key),
                 )
                 store[obj_key] = ks
         return ks
@@ -259,88 +243,50 @@ class HMatrix:
 
         ``child`` must be a child of a skeletonized (or frontier) node.
         """
-        ks = self._sibling_blocks.get(child.id)
-        if ks is not None:
-            return ks
-        sk = self.skeletons[child.id]
-        sib = self.tree.node(child.sibling_id)
-        return self._summation(
-            self._sibling_blocks,
-            child.id,
-            self.tree.points[sk.skeleton],
-            sib,
-            self.summation,
-            "sib",
-            norms_a=self.norms.gather(sk.skeleton),
-            norms_b=self.norms.node(sib),
+        return self._skeleton_rows(
+            self._sibling_blocks, child.id, "sib", child, child.sibling_id
         )
 
-    def frontier_row_block(self, f: Node) -> KernelSummation:
-        """``K_{f~ X}`` — frontier-skeleton rows against *all* points.
-
-        Used by the coalesced above-frontier correction; the own-block
-        part is subtracted by the caller.
-        """
-        ks = self._frontier_blocks.get(f.id)
-        if ks is not None:
-            return ks
-        sk = self.skeletons[f.id]
-        return self._summation(
-            self._frontier_blocks,
-            f.id,
-            self.tree.points[sk.skeleton],
-            None,
-            self.summation,
-            "frontier",
-            norms_a=self.norms.gather(sk.skeleton),
-            norms_b=self.norms.all(),
-            XB=self.tree.points,
-        )
-
-    def own_block(self, f: Node) -> KernelSummation:
-        """``K_{f~ f}`` — frontier-skeleton rows vs the node's own points
-        (always matrix-free: used once per product as a correction)."""
-        ks = self._own_blocks.get(f.id)
-        if ks is not None:
-            return ks
-        sk = self.skeletons[f.id]
-        return self._summation(
-            self._own_blocks,
-            f.id,
-            self.tree.points[sk.skeleton],
-            f,
-            SummationMethod.FUSED,
-            None,
-            norms_a=self.norms.gather(sk.skeleton),
-            norms_b=self.norms.node(f),
-        )
-
-    def pair_block(
-        self,
-        f: Node,
-        g: Node,
-        method: SummationMethod | str | None = None,
-    ) -> KernelSummation:
+    def pair_block(self, f: Node, g: Node) -> KernelSummation:
         """``K_{f~ g}`` — skeleton rows of ``f`` against the raw points of
-        ``g`` (the reduced frontier system's off-diagonal V blocks).
-        For ``g == sib(f)`` prefer :meth:`sibling_block`, which this
-        block would duplicate."""
-        method = SummationMethod(method) if method is not None else self.summation
-        obj_key = (f.id, g.id, method.value)
-        ks = self._pair_blocks.get(obj_key)
-        if ks is not None:
-            return ks
-        skf = self.skeletons[f.id]
-        return self._summation(
-            self._pair_blocks,
-            obj_key,
-            self.tree.points[skf.skeleton],
-            g,
-            method,
-            "pair",
-            norms_a=self.norms.gather(skf.skeleton),
-            norms_b=self.norms.node(g),
-        )
+        ``g``: one block of the reduced frontier system's ``V``.
+
+        The one accessor for a ``V`` block: a sibling pair returns
+        :meth:`sibling_block`, so every block is evaluated and stored
+        once whichever path reads it first.
+        """
+        if g.id == f.sibling_id:
+            return self.sibling_block(f)
+        return self._skeleton_rows(self._pair_blocks, (f.id, g.id), "pair", f, g.id)
+
+    def frontier_slices(self) -> dict[int, slice]:
+        """Rows of each frontier node's skeleton in the stacked frontier
+        system, in frontier order (the row blocks of :meth:`apply_v`)."""
+        out: dict[int, slice] = {}
+        offset = 0
+        for f in self.frontier:
+            s = self.skeletons[f.id].rank
+            out[f.id] = slice(offset, offset + s)
+            offset += s
+        return out
+
+    def apply_v(self, x: np.ndarray) -> np.ndarray:
+        """``V x`` with ``V = K_{f~, X \\ f}`` over the frontier nodes ``f``.
+
+        Row block ``f`` is ``sum_{g != f} K_{f~ g} x_g`` (paper section
+        II-C): the reduced system's off-diagonal operator and the
+        treecode's above-frontier step.  ``x`` is indexed by points,
+        (N,) or (N, k); rows follow :meth:`frontier_slices`.
+        """
+        slices = self.frontier_slices()
+        size = sum(sl.stop - sl.start for sl in slices.values())
+        t = np.zeros((size,) + x.shape[1:])
+        for f in self.frontier:
+            acc = t[slices[f.id]]
+            for g in self.frontier:
+                if g.id != f.id:
+                    acc += self.pair_block(f, g).matvec(x[g.lo : g.hi])
+        return t
 
     # ------------------------------------------------------------------
     def matvec(self, u: np.ndarray) -> np.ndarray:
@@ -383,13 +329,11 @@ class HMatrix:
             zadd(left.id, self.sibling_block(left).matvec(U[right.lo : right.hi]))
             zadd(right.id, self.sibling_block(right).matvec(U[left.lo : left.hi]))
 
-        # 3) coalesced correction above the frontier:
-        #    z_f += K_{f~ X} u - K_{f~ f} u_f.
+        # 3) above the frontier: z_f += sum_{g != f} K_{f~ g} u_g.
         if len(self.frontier) > 1:
-            for f in self.frontier:
-                full = self.frontier_row_block(f).matvec(U)
-                own = self.own_block(f).matvec(U[f.lo : f.hi])
-                zadd(f.id, full - own)
+            t = self.apply_v(U)
+            for f_id, rows in self.frontier_slices().items():
+                zadd(f_id, t[rows])
 
         # 4) push skeleton-space contributions down through P^T.
         for node in self._topdown_below():
@@ -460,12 +404,12 @@ class HMatrix:
             w[right.lo : right.hi] += self.sibling_block(left).rmatvec(z[left.id])
             w[left.lo : left.hi] += self.sibling_block(right).rmatvec(z[right.id])
 
-        # above the frontier: w += sum_f K_{f~ X}^T z_f minus own blocks.
+        # above the frontier, transposed: w_g += K_{f~ g}^T z_f, g != f.
         if len(self.frontier) > 1:
             for f in self.frontier:
-                zf = z[f.id]
-                w += self.frontier_row_block(f).rmatvec(zf)
-                w[f.lo : f.hi] -= self.own_block(f).rmatvec(zf)
+                for g in self.frontier:
+                    if g.id != f.id:
+                        w[g.lo : g.hi] += self.pair_block(f, g).rmatvec(z[f.id])
         return w[:, 0] if single else w
 
     def as_linear_operator(self, lam: float = 0.0):

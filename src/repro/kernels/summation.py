@@ -233,24 +233,9 @@ class KernelSummation:
 
     # -- pickling: the cache handle is process-local ---------------------
     def __getstate__(self):
+        # cache-backed blocks belong to an H-matrix, which pickles without
+        # its summation wrappers and rebuilds them on the receiving side.
         state = dict(self.__dict__)
         state["_cache"] = None
         state["_cache_key"] = None
-        if state["_matrix"] is None and self.method is SummationMethod.PRECOMPUTED:
-            # ship nothing dense; the receiver re-evaluates lazily
-            # against its own default cache (deterministic, so products
-            # are bitwise identical).
-            pass
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if (
-            self.method is SummationMethod.PRECOMPUTED
-            and self._matrix is None
-            and self._cache is None
-        ):
-            from repro.perf.blockcache import default_cache, next_namespace
-
-            self._cache = default_cache()
-            self._cache_key = (next_namespace(), "summation")

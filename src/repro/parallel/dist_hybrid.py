@@ -220,10 +220,9 @@ def distributed_hybrid_factorize(
 ) -> DistributedHybrid:
     """Distributed partial factorization up to the frontier.
 
-    Requires ``n_ranks`` a power of two with ``log2(n_ranks)`` at or
-    above... strictly: the frontier must sit at or below level
-    ``log2(n_ranks)`` so every frontier subtree is rank-local (the
-    paper's Figure 2 layout).
+    Requires ``n_ranks`` a power of two and the frontier at or below
+    tree level ``log2(n_ranks)``, so every frontier subtree is
+    rank-local (the paper's Figure 2 layout).
 
     ``backend`` selects the vMPI execution backend (``None`` defers to
     ``config.backend`` and the ``REPRO_VMPI_BACKEND`` environment);

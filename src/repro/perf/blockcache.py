@@ -23,8 +23,9 @@ choice into a per-block decision:
   ``perf.cache_*`` metrics (``perfbench/run.py``).
 
 Keys are tuples whose first element is a namespace token (one per
-H-matrix); :meth:`BlockCache.drop_prefix` releases a namespace when its
-owner is garbage collected.
+model: an H-matrix and its frontier-moved copies share it);
+:meth:`BlockCache.drop_prefix` releases a namespace when the last of its
+owners is garbage collected.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
     "configure_default_cache",
 ]
 
-#: namespace tokens for cache owners (H-matrices, orphaned summations).
+#: namespace tokens for cache owners (one per model's H-matrix).
 _NAMESPACES = itertools.count(1)
 
 

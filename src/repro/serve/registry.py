@@ -52,8 +52,9 @@ class ResidentModel:
     solver: FastKernelSolver
     #: "registered" for in-process admissions, else the checkpoint path.
     source: str
-    #: persistent float64 words (H-matrix + factorization) — the unit
-    #: the registry budget is charged in.
+    #: persistent float64 words (the H-matrix's, cached ``V`` blocks
+    #: included, plus the factorization's own) — the unit the registry
+    #: budget is charged in.
     storage_words: int
     #: solve batches served through this resident (registry-lock guarded).
     solves: int = field(default=0)
@@ -72,9 +73,11 @@ class ResidentModel:
 
 
 def _model_words(solver: FastKernelSolver) -> int:
+    """The H-matrix's words (its cached blocks include every ``V`` block
+    the factorization reads) plus what the factorization holds itself."""
     words = solver.hmatrix.storage_words()
     if solver.factorization is not None:
-        words += solver.factorization.storage_words()
+        words += solver.factorization.factor_words()
     return int(words)
 
 

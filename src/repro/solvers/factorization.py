@@ -46,7 +46,7 @@ import numpy as np
 from repro.config import GMRESConfig, SolverConfig
 from repro.exceptions import NotFactorizedError, StabilityError
 from repro.hmatrix.hmatrix import HMatrix
-from repro.kernels.summation import KernelSummation, SummationMethod
+from repro.kernels.summation import KernelSummation
 from repro.obs import registry, span
 from repro.perf import levelbatch
 from repro.solvers.gmres import gmres, gmres_batched
@@ -84,17 +84,15 @@ class LeafFactor:
 class InternalFactor:
     """Per-internal-node factors at/below the frontier.
 
-    ``z_lu`` factors eq. (8)'s ``Z = [[I, K_{l~r} P^_r], [K_{r~l} P^_l, I]]``;
-    ``vblock_l``/``vblock_r`` are the (possibly matrix-free) skeleton-row
-    blocks ``K_{l~ r}`` and ``K_{r~ l}``; ``phat`` is the telescoped
+    ``z_lu`` factors eq. (8)'s ``Z = [[I, K_{l~r} P^_r], [K_{r~l} P^_l, I]]``,
+    whose blocks ``K_{l~ r}``/``K_{r~ l}`` are the H-matrix's sibling
+    blocks (:meth:`HMatrix.sibling_block`); ``phat`` is the telescoped
     ``P^_{alpha alpha~}`` (None exactly at frontier-less internal use).
     """
 
     z_lu: tuple[np.ndarray, np.ndarray]
     s_l: int
     s_r: int
-    vblock_l: KernelSummation
-    vblock_r: KernelSummation
     phat: np.ndarray | None
     rcond: float
 
@@ -104,10 +102,9 @@ class ReducedSystem:
     """The coalesced above-frontier system (paper section II-C).
 
     ``V`` has block rows ``K_{f~ , X \\ f}`` over frontier nodes ``f``,
-    stored as per-pair blocks ``pair_blocks[(f, g)] = K_{f~ g}`` for
-    ``g != f`` (sibling pairs reuse the H-matrix's cached blocks, so
-    the frontier stage adds no kernel evaluations beyond the paper's
-    V factors).  ``W^`` is blockdiag of the frontier ``P^`` factors.
+    read as the H-matrix's pair blocks ``K_{f~ g}``, ``g != f``
+    (:meth:`HMatrix.pair_block`, which the treecode product shares).
+    ``W^`` is blockdiag of the frontier ``P^`` factors.
     ``z_lu`` holds the dense LU of ``I + V W^`` for the direct methods
     and is ``None`` for the hybrid method (GMRES instead), whose ``z``
     holds the assembled ``I + V W^`` once its matrix-free applications
@@ -117,7 +114,6 @@ class ReducedSystem:
     frontier: list[Node]
     slices: dict[int, slice]  # node id -> rows of the reduced system
     size: int
-    pair_blocks: dict[tuple[int, int], KernelSummation]
     z_lu: tuple[np.ndarray, np.ndarray] | None
     rcond: float
     z: np.ndarray | None = None
@@ -523,8 +519,6 @@ class HierarchicalFactorization:
                 z_lu=(z_lu[i], z_piv[i]),
                 s_l=s_l,
                 s_r=s_r,
-                vblock_l=vl[0][i],
-                vblock_r=vr[0][i],
                 phat=None,
                 rcond=rcond,
             )
@@ -578,7 +572,7 @@ class HierarchicalFactorization:
     def _vblocks(self, summs: list[KernelSummation]):
         """``(summs, K)`` for :func:`_v_products`: ``K`` stacks the
         group's dense blocks, ``None`` when any stays matrix-free."""
-        blocks = self.hmatrix.materialize_blocks(summs)
+        blocks = levelbatch.materialize_summations(summs)
         if any(block is None for block in blocks):
             return summs, None
         return summs, _stack(blocks)
@@ -681,11 +675,8 @@ class HierarchicalFactorization:
 
         A node carries every lambda bump that re-factorized it: those
         recorded at it or at an ancestor, whose bump it (for a leaf, its
-        ``lam_extra``) still holds after a transplant.  The
-        :class:`KernelSummation` sibling blocks are excluded — they
-        hold cache handles and are re-derived from the H-matrix on
-        restore (kernel evaluation is pure), which keeps payloads a
-        handful of dense arrays, decoupled from cache state.
+        ``lam_extra``) still holds after a transplant.  Payloads are a
+        handful of dense arrays: the ``V`` blocks stay with the H-matrix.
         """
         events = [e for e in self.recovery_events if _refactored(e, node_id)]
         if node_id in self.leaf_factors:
@@ -717,12 +708,10 @@ class HierarchicalFactorization:
     def restore_node_payload(self, payload: dict) -> None:
         """Transplant one node's factors back (inverse of export).
 
-        Sibling ``V`` blocks are re-derived from the H-matrix; stability
-        records and recovery events are replayed so reports stay
-        faithful across a transplant (an ancestor's event, carried by
-        each node of its subtree, is recorded once).
+        Stability records and recovery events are replayed so reports
+        stay faithful across a transplant (an ancestor's event, carried
+        by each node of its subtree, is recorded once).
         """
-        h = self.hmatrix
         nid = payload["node_id"]
         if payload["kind"] == "leaf":
             self.leaf_factors[nid] = LeafFactor(
@@ -735,13 +724,10 @@ class HierarchicalFactorization:
                 self._lam_extra[nid] = payload["lam_extra"]
             self.stability.record("leaf", nid, payload["rcond"])
         else:
-            left, right = h.tree.children(h.tree.node(nid))
             self.node_factors[nid] = InternalFactor(
                 z_lu=(payload["z_lu"], payload["piv"]),
                 s_l=payload["s_l"],
                 s_r=payload["s_r"],
-                vblock_l=h.sibling_block(left),
-                vblock_r=h.sibling_block(right),
                 phat=payload["phat"],
                 rcond=payload["rcond"],
             )
@@ -901,35 +887,12 @@ class HierarchicalFactorization:
     def _build_reduced(self) -> None:
         """Coalesced frontier system (section II-C / root of Alg. II.2)."""
         h = self.hmatrix
-        frontier = h.frontier
-        slices: dict[int, slice] = {}
-        offset = 0
-        for f in frontier:
-            s = h.skeletons[f.id].rank
-            slices[f.id] = slice(offset, offset + s)
-            offset += s
-        size = offset
-        method = SummationMethod(self.config.summation)
-
-        # off-diagonal pair blocks K_{f~ g}; sibling pairs reuse the
-        # blocks the below-frontier factorization already built/cached, the
-        # rest come from the H-matrix's block cache (shared across
-        # factorizations of the same matrix).
-        pair_blocks: dict[tuple[int, int], KernelSummation] = {}
-        for f in frontier:
-            for g in frontier:
-                if f.id == g.id:
-                    continue
-                if g.id == f.sibling_id:
-                    pair_blocks[(f.id, g.id)] = h.sibling_block(f)
-                else:
-                    pair_blocks[(f.id, g.id)] = h.pair_block(f, g, method)
-
+        slices = h.frontier_slices()
+        size = sum(sl.stop - sl.start for sl in slices.values())
         red = ReducedSystem(
-            frontier=frontier,
+            frontier=h.frontier,
             slices=slices,
             size=size,
-            pair_blocks=pair_blocks,
             z_lu=None,
             rcond=1.0,
         )
@@ -962,7 +925,8 @@ class HierarchicalFactorization:
         code, as :meth:`_factor_level` does.  The scatter targets are
         disjoint, so the accumulation order does not matter.
         """
-        sset = self.hmatrix.skeletons
+        h = self.hmatrix
+        sset = h.skeletons
         policy = levelbatch.BatchPolicy.current()
         pairs = [(f, g) for g in red.frontier for f in red.frontier if f.id != g.id]
         Z = np.eye(red.size)
@@ -971,7 +935,7 @@ class HierarchicalFactorization:
             lambda fg: (sset[fg[0].id].rank, fg[1].size, sset[fg[1].id].rank),
             lambda key, g: policy.worth(g, key[1] * (key[0] + key[2]), calls_saved=6),
         ):
-            v = self._vblocks([red.pair_blocks[(f.id, g.id)] for f, g in members])
+            v = self._vblocks([h.pair_block(f, g) for f, g in members])
             prods = _v_products(v, self._gather_phats([g for _, g in members]))
             for (f, g), prod in zip(members, prods):
                 Z[red.slices[f.id], red.slices[g.id]] += prod
@@ -986,7 +950,8 @@ class HierarchicalFactorization:
         ``node`` must be at or below the frontier.  ``u`` is indexed by
         the node's points (shape ``(|node|,)`` or ``(|node|, k)``).
         """
-        tree = self.hmatrix.tree
+        h = self.hmatrix
+        tree = h.tree
         if tree.is_leaf(node):
             w = lapack.lu_solve(self.leaf_factors[node.id].lu, u)
             k = 1 if u.ndim == 1 else u.shape[1]
@@ -997,8 +962,8 @@ class HierarchicalFactorization:
         w_l = self.solve_subtree(left, u[:nl])
         w_r = self.solve_subtree(right, u[nl:])
         factor = self.node_factors[node.id]
-        t_top = factor.vblock_l.matvec(w_r)
-        t_bot = factor.vblock_r.matvec(w_l)
+        t_top = h.sibling_block(left).matvec(w_r)
+        t_bot = h.sibling_block(right).matvec(w_l)
         t = np.concatenate([t_top, t_bot], axis=0)
         y = lapack.lu_solve(factor.z_lu, t)
         k = 1 if u.ndim == 1 else u.shape[1]
@@ -1009,23 +974,6 @@ class HierarchicalFactorization:
         w_r = w_r - phat_r @ y[factor.s_l :]
         count_flops(2 * (phat_l.size + phat_r.size) * k, label="solve_correct")
         return np.concatenate([w_l, w_r], axis=0)
-
-    def _apply_v(self, x: np.ndarray) -> np.ndarray:
-        """``V x``: frontier-skeleton rows against all out-of-node points."""
-        assert self.reduced is not None
-        red = self.reduced
-        t = (
-            np.zeros(red.size)
-            if x.ndim == 1
-            else np.zeros((red.size, x.shape[1]))
-        )
-        for f in red.frontier:
-            acc = t[red.slices[f.id]]
-            for g in red.frontier:
-                if f.id == g.id:
-                    continue
-                acc += red.pair_blocks[(f.id, g.id)].matvec(x[g.lo : g.hi])
-        return t
 
     def _apply_what(self, y: np.ndarray) -> np.ndarray:
         """``W^ y``: scatter reduced coefficients through the P^ blocks."""
@@ -1067,7 +1015,7 @@ class HierarchicalFactorization:
             count_flops(2 * red.size**2 * k, label="reduced_matvec")
             count_mops(red.size**2 + 2 * red.size * k)
             return red.z @ y
-        return y + self._apply_v(self._apply_what(y))
+        return y + self.hmatrix.apply_v(self._apply_what(y))
 
     def _assemble_or_decline(self) -> None:
         """Assemble the hybrid's ``Z``, unless the cache budget refuses it.
@@ -1137,7 +1085,7 @@ class HierarchicalFactorization:
                     x[f.lo : f.hi] = self.solve_subtree(f, u[f.lo : f.hi])
             # counter deltas carry GMRES's operator/orthogonalization split.
             with span("solve.reduced", counters=True):
-                y = self._solve_reduced(self._apply_v(x))
+                y = self._solve_reduced(h.apply_v(x))
             with span("solve.what"):
                 return x - self._apply_what(y)
 
@@ -1214,7 +1162,14 @@ class HierarchicalFactorization:
         return float(np.linalg.norm(r)) / un if un > 0 else float(np.linalg.norm(r))
 
     def storage_words(self) -> int:
-        """Persistent float64 words held by the factorization."""
+        """Persistent float64 words of the factorization (paper section
+        III: ``U``, ``V`` and ``I + W V`` per level): :meth:`factor_words`
+        plus :meth:`vblock_words`."""
+        return self.factor_words() + self.vblock_words()
+
+    def factor_words(self) -> int:
+        """Words the factorization holds itself: the LUs, ``P^`` blocks
+        and the hybrid's assembled ``Z`` (outside the block cache)."""
         total = 0
         for lf in self.leaf_factors.values():
             total += lf.lu[0].size
@@ -1222,23 +1177,32 @@ class HierarchicalFactorization:
                 total += lf.phat.size
         for nf in self.node_factors.values():
             total += nf.z_lu[0].size
-            total += nf.vblock_l.storage_words + nf.vblock_r.storage_words
             if nf.phat is not None:
                 total += nf.phat.size
         if self.reduced is not None:
-            counted = set()
-            for nf in self.node_factors.values():
-                counted.add(id(nf.vblock_l))
-                counted.add(id(nf.vblock_r))
-            for block in self.reduced.pair_blocks.values():
-                if id(block) not in counted:  # sibling blocks counted above
-                    total += block.storage_words
-                    counted.add(id(block))
             if self.reduced.z_lu is not None:
                 total += self.reduced.z_lu[0].size
             if self.reduced.z is not None:
                 total += self.reduced.z.size
         return total
+
+    def vblock_words(self) -> int:
+        """Stored words of the ``V`` blocks the factorization reads: the
+        H-matrix's sibling blocks under each factored internal node and
+        its frontier pair blocks (the H-matrix's
+        :meth:`~HMatrix.storage_words` counts them too)."""
+        h = self.hmatrix
+        blocks = [
+            h.sibling_block(child)
+            for nid in self.node_factors
+            for child in h.tree.children(h.tree.node(nid))
+        ]
+        if self.reduced is not None:
+            frontier = self.reduced.frontier
+            blocks += [
+                h.pair_block(f, g) for f in frontier for g in frontier if f.id != g.id
+            ]
+        return sum(block.storage_words for block in blocks)
 
 
 def level_payload_nodes(payload: dict) -> dict[int, dict]:

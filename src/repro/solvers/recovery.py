@@ -217,8 +217,10 @@ class IterativeFallback:
         un = float(np.linalg.norm(u))
         return float(np.linalg.norm(r)) / un if un > 0 else float(np.linalg.norm(r))
 
-    def storage_words(self) -> int:
+    def factor_words(self) -> int:
         return 0
+
+    storage_words = factor_words
 
     def slogdet(self) -> tuple[float, float]:
         raise NotFactorizedError(

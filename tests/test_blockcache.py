@@ -24,7 +24,7 @@ from repro.perf import (
     default_cache,
     set_default_cache,
 )
-from repro.solvers import factorize
+from repro.solvers import descend_frontier, factorize
 
 RNG = np.random.default_rng(77)
 
@@ -208,6 +208,36 @@ class TestNamespaces:
         ns = h._ns
         assert cache.words_of_prefix(ns) > 0
         del h
+        gc.collect()
+        assert cache.words_of_prefix(ns) == 0
+
+    def test_with_frontier_copy_shares_namespace_cache_and_blocks(self):
+        cache = BlockCache()
+        h = build_hmatrix(
+            RNG.standard_normal((120, 3)),
+            GaussianKernel(bandwidth=1.5),
+            tree_config=TreeConfig(leaf_size=30, seed=0),
+            skeleton_config=SkeletonConfig(
+                tau=1e-6, max_rank=24, num_samples=64, num_neighbors=4, seed=1
+            ),
+            cache=cache,
+        )
+        moved = descend_frontier(h)
+        assert moved.cache is cache and moved._ns == h._ns
+        f, g = moved.frontier[0], moved.frontier[2]  # not siblings
+        assert moved.pair_block(f, g) is h.pair_block(f, g)
+        u = RNG.standard_normal(g.size)
+        moved.pair_block(f, g).matvec(u)  # filled through the copy
+        before = cache.stats()
+        h.pair_block(f, g).matvec(u)
+        after = cache.stats()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        # the namespace lives until the last H-matrix sharing it goes.
+        ns = h._ns
+        del h
+        gc.collect()
+        assert cache.words_of_prefix(ns) > 0
+        del moved
         gc.collect()
         assert cache.words_of_prefix(ns) == 0
 

@@ -11,6 +11,7 @@ practice, since the restored factors are the same floats).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -28,6 +29,7 @@ from repro.config import (
 from repro.core import FastKernelSolver
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.kernels import GaussianKernel, LaplacianKernel
+from repro.perf import BlockCache, set_default_cache
 from repro.resilience import CHECKPOINT_SCHEMA, Checkpoint, config_fingerprint
 
 RNG = np.random.default_rng(17)
@@ -327,3 +329,41 @@ class TestRecoveryLadderRoundtrip:
             resumed.factorization.recovery_events
             == solver.factorization.recovery_events
         )
+
+
+class TestResumedBlocks:
+    """A resumed solver reads its kernel blocks through its own H-matrix:
+    one cache namespace per model, released with the model."""
+
+    @pytest.fixture()
+    def cache(self):
+        cache = BlockCache()
+        previous = set_default_cache(cache)
+        yield cache
+        set_default_cache(previous)
+
+    def _writer(self, path):
+        writer = make_solver(path).fit(X)
+        writer.factorize(0.5)
+        w = writer.solve(U)
+        writer.residual(U, w)
+        return writer, w
+
+    def test_resumed_solver_releases_its_blocks(self, tmp_path, cache):
+        writer, w = self._writer(tmp_path / "cp")
+        path = writer.save_checkpoint()
+        before = cache.words
+        resumed = FastKernelSolver.resume(path)
+        np.testing.assert_array_equal(resumed.solve(U), w)
+        resumed.residual(U, w)
+        del resumed
+        gc.collect()
+        assert cache.words == before
+
+    def test_resumed_solver_holds_what_its_writer_held(self, tmp_path, cache):
+        writer, _ = self._writer(tmp_path / "cp")
+        held = cache.words
+        resumed = FastKernelSolver.resume(writer.save_checkpoint())
+        resumed.residual(U, resumed.solve(U))
+        assert cache.words - held == held
+        assert resumed.factorization.hmatrix._ns == resumed.hmatrix._ns

@@ -237,6 +237,22 @@ class TestDegradationLadder:
         assert solver.health.final_path == "hybrid"
         assert solver.residual(u, w) < 1e-6
 
+    def test_frozen_frontier_checkpoint_resumes_bitwise(self, tmp_path):
+        # the state payload carries the factorization at its moved
+        # frontier; resume must read blocks at that frontier too.
+        X, u = small_problem(n=512)
+        solver = make_solver(
+            ResilienceConfig(work_budget=10, checkpoint_dir=str(tmp_path / "cp"))
+        ).fit(X)
+        solver.factorize(0.5)
+        assert solver.health.final_path == "hybrid"
+        frontier = [f.id for f in solver.factorization.hmatrix.frontier]
+        assert len(frontier) == 8
+        w = solver.solve(u)
+        resumed = FastKernelSolver.resume(solver.save_checkpoint())
+        assert [f.id for f in resumed.factorization.hmatrix.frontier] == frontier
+        np.testing.assert_array_equal(resumed.solve(u), w)
+
     def test_degrade_off_raises_at_fit(self):
         # without the ladder, skeletonization charges per node and the
         # budget trips during fit() instead of coarsening tau

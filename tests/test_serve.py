@@ -135,7 +135,7 @@ class TestModelRegistry:
         assert a.factorization.reduced_operator == "assembled"
         reg.count_solve(fa)
         assert reg.fingerprints() == [fa]
-        held = a.hmatrix.storage_words() + a.factorization.storage_words()
+        held = a.hmatrix.storage_words() + a.factorization.factor_words()
         assert reg.get(fa).storage_words == held
         assert reg.stats()["resident_words"] <= reg.budget_words
 
@@ -154,7 +154,7 @@ class TestModelRegistry:
             if a.factorization.reduced_operator == "assembled":
                 break
             a.solve(U)
-        assert a.hmatrix.storage_words() + a.factorization.storage_words() > words
+        assert a.hmatrix.storage_words() + a.factorization.factor_words() > words
         reg.count_solve(fa)
         assert reg.fingerprints() == [fc]
         assert reg.stats()["resident_words"] <= reg.budget_words
@@ -192,6 +192,33 @@ class TestModelRegistry:
         cache.put(("count_solve", 0), np.zeros(8))  # a store may be growth
         reg.count_solve(fp)
         assert calls == [s]
+
+    def test_budget_charges_each_block_once(self):
+        # the factorization reads its V blocks from the H-matrix's cache;
+        # a budget that fits the model's distinct words must admit it.
+        from repro.perf import BlockCache, set_default_cache
+
+        cache = BlockCache()
+        previous = set_default_cache(cache)
+        try:
+            s = _make_solver(n=384, seed=5, level=2)
+        finally:
+            set_default_cache(previous)
+        h, fact = s.hmatrix, s.factorization
+        factors = [fact.reduced.z_lu[0]]
+        for f in (*fact.leaf_factors.values(), *fact.node_factors.values()):
+            factors.append(f.lu[0] if hasattr(f, "lu") else f.z_lu[0])
+            if f.phat is not None:
+                factors.append(f.phat)
+        distinct = (
+            cache.words  # every kernel block of this model, once
+            + h.norms.storage_words()
+            + sum(sk.proj.size for sk in h.skeletons.skeletons.values())
+            + sum(a.size for a in factors)
+        )
+        reg = ModelRegistry(budget_words=distinct)
+        fp = reg.register(s)
+        assert reg.get(fp).storage_words == distinct
 
     def test_oversized_model_refused(self, solver):
         reg = ModelRegistry(budget_words=10)
