@@ -10,6 +10,14 @@ The parent then resumes from the same directory and checks:
    leaf LU flops (``factor_leaf_lu``, whatever code factors a leaf) —
    the leaf level is exactly what the child managed to save.
 
+The parent's finished factorization writes the ``state`` payload, so a
+third process, a fresh interpreter, then runs
+``FastKernelSolver.resume(dir)`` and solves; it must spend no flops
+under any ``factor_*`` label, and its solution must equal the parent's
+bitwise (compared through an ``.npy`` file in the checkpoint's temp
+directory) — a difference that only shows in a new process escapes
+in-process tests.
+
 Run: ``PYTHONPATH=src python scripts/kill_resume_smoke.py``
 """
 
@@ -69,6 +77,23 @@ def child(ckdir: str) -> None:
     sys.exit(3)  # the kill must have happened
 
 
+def fresh(ckdir: str, out: str) -> None:
+    """Resume the finished checkpoint in a new process; save the solution."""
+    from repro.core import FastKernelSolver
+    from repro.util.flops import FlopCounter
+
+    _, u = problem()
+    with FlopCounter() as counter:
+        solver = FastKernelSolver.resume(ckdir)
+        w = solver.solve(u)
+    factor = {k: v for k, v in counter.by_label.items() if k.startswith("factor_")}
+    if factor:
+        print(f"fresh: resume refactored: {factor}", flush=True)
+        sys.exit(4)
+    np.save(out, w)
+    print("fresh: resumed and solved with no factorization flops", flush=True)
+
+
 def parent() -> int:
     X, u = problem()
 
@@ -110,6 +135,22 @@ def parent() -> int:
         leaf_lu_flops = counter.by_label.get("factor_leaf_lu", 0)
         w_resumed = resumed.solve(u)
 
+        # a fresh interpreter resumes what the parent's factorize left.
+        out = os.path.join(ckdir, "fresh_solution.npy")
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--fresh", ckdir, out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        print(proc.stdout, end="")
+        if proc.returncode != 0:
+            print(f"FAIL: fresh resume failed (rc={proc.returncode})", file=sys.stderr)
+            print(proc.stderr, file=sys.stderr)
+            return 1
+        if np.load(out).tobytes() != w_resumed.tobytes():
+            print("FAIL: fresh-process resume differs from the parent's solution",
+                  file=sys.stderr)
+            return 1
+
     diff = float(np.max(np.abs(w_resumed - w_base)))
     denom = float(np.max(np.abs(w_base)))
     print(f"max |resumed - uninterrupted| = {diff:.3e} (scale {denom:.3e})")
@@ -121,12 +162,14 @@ def parent() -> int:
               "leaves that were already checkpointed", file=sys.stderr)
         return 1
     print("kill-and-resume smoke OK: identical solution, "
-          "checkpointed level not recomputed")
+          "checkpointed level not recomputed, fresh-process resume bitwise")
     return 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "--child":
         child(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "--fresh":
+        fresh(sys.argv[2], sys.argv[3])
     else:
         sys.exit(parent())

@@ -42,7 +42,11 @@ from repro.resilience import (
     config_fingerprint,
     deadline_scope,
 )
-from repro.solvers.factorization import HierarchicalFactorization, factorize
+from repro.solvers.factorization import (
+    HierarchicalFactorization,
+    factorize,
+    level_payload_nodes,
+)
 from repro.solvers.recovery import (
     IterativeFallback,
     SolverHealth,
@@ -53,6 +57,21 @@ from repro.util.timing import StageTimes, Timer
 from repro.util.validation import check_points, check_vector
 
 __all__ = ["FastKernelSolver", "SolveInfo"]
+
+
+def _final_path(fact: HierarchicalFactorization) -> dict:
+    """The ``state`` entries that name ``fact``'s final path."""
+    red = fact.reduced
+    return {
+        "path": fact.config.method,
+        "frontier": [f.id for f in fact.hmatrix.frontier],
+        "stability": fact.stability,
+        "frontier_lu": (
+            None
+            if red is None or red.z_lu is None
+            else fact.export_node_payload(fact.hmatrix.tree.root.id)
+        ),
+    }
 
 
 @dataclass
@@ -280,9 +299,11 @@ class FastKernelSolver:
         :meth:`update` run it.  Plain :func:`factorize` when neither
         recovery nor resilience is armed (:attr:`health` is None);
         otherwise the fallback ladder under the pipeline deadline and
-        checkpoint.  ``resume_nodes`` transplants prior node factors.
+        checkpoint, whose ``state`` payload is written when the ladder
+        returns.  ``resume_nodes`` transplants prior node factors.
         """
         config = self.solver_config
+        cp = None
         with self._metric_scope(), self.times.time("factorize"):
             if not (config.recovery.enabled or config.resilience.active):
                 self.factorization = factorize(
@@ -313,6 +334,8 @@ class FastKernelSolver:
                     resume_nodes=resume_nodes,
                     checkpoint=cp,
                 )
+        if cp is not None:
+            self._save_state(cp)
 
     def update(
         self,
@@ -469,10 +492,10 @@ class FastKernelSolver:
 
         Writes the ``solver`` meta payload (data, kernel, configs), the
         skeletonized H-matrix, every completed factorization level, and
-        — when factorized — a ``state`` payload carrying the whole
-        factorization-like object, :attr:`health`, and stage times, so
-        :meth:`resume` reproduces this solver exactly (recovery/
-        degradation history included).
+        — when factorized — the ``state`` payload (:meth:`_save_state`),
+        so :meth:`resume` reproduces this solver exactly (recovery/
+        degradation history included).  Each factor is stored once, in
+        its level payload.
 
         Returns the checkpoint directory path.
         """
@@ -485,42 +508,91 @@ class FastKernelSolver:
             )
         cp = Checkpoint(directory, fingerprint=self._fingerprint(), mode="write")
         self._save_model(cp)
-        fact = self.factorization
-        if isinstance(fact, HierarchicalFactorization):
-            for lv in sorted(fact.completed_levels, reverse=True):
-                cp.save_level(
-                    lv,
-                    fact.export_level_payload(lv),
-                    lam=fact.lam,
-                    method=fact.config.method,
-                )
-        if fact is not None:
-            self._save_state(cp)
+        if self.factorization is not None:
+            self._save_state(cp, rewrite=True)
         return cp.path
 
-    def _save_state(self, cp: Checkpoint) -> None:
-        """Write the ``state`` payload: factorization, health and times."""
-        cp.save(
-            "state",
-            {
-                "factorization": self.factorization,
-                "health": self.health,
-                "times": self.times,
-                "lam": self.factorization.lam,
-            },
-        )
+    def _save_state(self, cp: Checkpoint, *, rewrite: bool = False) -> None:
+        """Write the ``state`` payload, after the level payloads it names.
+
+        ``state`` holds what the levels and skeletons cannot rebuild:
+        lambda, :attr:`health`, stage times and the final path — the
+        method, its frontier's node ids, its stability report and, for
+        the direct methods, the coalesced frontier LU; or ``"iterative"``
+        (ladder rung 3).  Every completed level is on disk under the
+        factorization's ``(lam, method)`` first: all of them with
+        ``rewrite``, otherwise those the manifest does not already hold
+        under that tag (the ladder wrote the rest as it climbed).
+        """
+        fact = self.factorization
+        state = {
+            "lam": fact.lam,
+            "health": self.health,
+            "times": self.times,
+            "path": "iterative",
+        }
+        if isinstance(fact, HierarchicalFactorization):
+            lam, method = fact.lam, fact.config.method
+            for lv in sorted(fact.completed_levels, reverse=True):
+                entry = cp.manifest["payloads"].get(Checkpoint.level_name(lv), {})
+                if rewrite or (entry.get("lam"), entry.get("method")) != (lam, method):
+                    payload = fact.export_level_payload(lv)
+                    cp.save_level(lv, payload, lam=lam, method=method)
+            state.update(_final_path(fact))
+        cp.save("state", state)
+
+    def _restore_state(self, cp: Checkpoint, state: dict) -> None:
+        """Rebuild the saved factorization from the level payloads.
+
+        Runs :func:`factorize` at the saved frontier and method with every
+        node of the matching ``level_NNN`` payloads and the frontier LU
+        as ``resume_nodes``, so nothing is refactored unless a killed
+        refit overwrote levels; the fallback ladder does not run again,
+        its decisions are in the saved path and :attr:`health`.
+        """
+        if "factorization" in state:
+            # written when ``state`` pickled the whole factorization: read
+            # it once for its final path, then drop it.
+            fact = state.pop("factorization")
+            if isinstance(fact, HierarchicalFactorization):
+                state.update(_final_path(fact))
+            else:
+                state["path"] = "iterative"
+        lam, path = state["lam"], state["path"]
+        if path == "iterative":
+            self.factorization = IterativeFallback(
+                self.hmatrix, lam, self.solver_config
+            )
+        else:
+            h = self.hmatrix
+            if state["frontier"] != [f.id for f in h.frontier]:
+                h = h.with_frontier([h.tree.node(i) for i in state["frontier"]])
+            resume: dict[int, dict] = {}
+            for payload in cp.load_levels(lam=lam, method=path).values():
+                resume.update(level_payload_nodes(payload))
+            if state["frontier_lu"] is not None:
+                resume[h.tree.root.id] = state["frontier_lu"]
+            self.factorization = factorize(
+                h, lam, replace(self.solver_config, method=path), resume_nodes=resume
+            )
+            self.factorization.stability = state["stability"]
+        self.health = state["health"]
+        self.times = state["times"]
 
     @classmethod
     def resume(cls, directory: str) -> "FastKernelSolver":
         """Rebuild a solver from a ``repro.checkpoint/v1`` directory.
 
         Restores data, configs, and the skeletonized H-matrix; when a
-        full ``state`` snapshot exists (:meth:`save_checkpoint` after
-        factorizing) the factorization, health report, and stage times
-        come back too, and the solver solves identically to the one
-        that was saved.  Otherwise call :meth:`factorize` — it resumes
-        from the last completed checkpointed level instead of from
-        scratch.
+        ``state`` payload exists (written by :meth:`save_checkpoint` and
+        at the end of every checkpointed factorization) the
+        factorization is rebuilt from the level payloads — every node
+        transplanted, no factorization work — and the health report and
+        stage times come back too, so the solver solves bitwise as the
+        one that saved it (after a refit killed mid-way, the levels it
+        overwrote are refactored).  Without ``state``, call
+        :meth:`factorize` — it resumes from the last completed
+        checkpointed level instead of from scratch.
 
         Raises
         ------
@@ -560,16 +632,7 @@ class FastKernelSolver:
                 "re-checkpointing — refusing to resume"
             )
         if cp.has("state"):
-            state = cp.load("state")
-            fact = state["factorization"]
-            # the payload pickles its own H-matrix copy: read blocks
-            # through the solver's namespace instead, at the frontier the
-            # factorization was built on (the fallback ladder moves it).
-            fact.hmatrix = solver.hmatrix.with_frontier(fact.hmatrix.frontier)
-            solver.factorization = fact
-            solver.health = state["health"]
-            if state.get("times") is not None:
-                solver.times = state["times"]
+            solver._restore_state(cp, cp.load("state"))
         solver._deadline = solver._make_deadline()
         return solver
 

@@ -121,20 +121,19 @@ def _rebuild_kernel(kernel, params: dict):
 
 
 def _checkpoint_after(solver) -> None:
-    """Finish the updated solver's checkpoint when checkpointing is armed.
+    """Snapshot an updated solver that holds no factorization, when armed.
 
     A refactorization ran the facade's path, which already wrote the
-    ``solver`` and ``skeletons`` payloads and each level it factored
-    (under a fresh manifest when the fingerprint changed with the data
-    or kernel), so only the ``state`` payload is left; an update that
-    did not refactorize re-snapshots the whole solver.
+    ``solver`` and ``skeletons`` payloads, each level it factored and
+    ``state`` (under a fresh manifest when the fingerprint changed with
+    the data or kernel); an update that did not refactorize re-snapshots
+    the whole solver.
     """
-    if solver.solver_config.resilience.checkpoint_dir is None:
-        return
-    if solver.factorization is None:
+    if (
+        solver.solver_config.resilience.checkpoint_dir is not None
+        and solver.factorization is None
+    ):
         solver.save_checkpoint()
-    else:
-        solver._save_state(solver._open_checkpoint("write"))
 
 
 def apply_update(

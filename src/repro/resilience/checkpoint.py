@@ -5,8 +5,17 @@ Layout (one directory per checkpoint):
 .. code-block:: text
 
     <dir>/MANIFEST.json     # schema, config fingerprint, payload index
-    <dir>/<name>.pkl        # pickled payloads (solver meta, skeletons,
-                            # level_<L> factor payloads)
+    <dir>/solver.pkl        # data, kernel and configs
+    <dir>/skeletons.pkl     # the skeletonized H-matrix
+    <dir>/level_<L>.pkl     # one tree level's node factors, tagged with
+                            # lam and method in the manifest
+    <dir>/state.pkl         # what the levels cannot rebuild: lam,
+                            # health, stage times, the final path and
+                            # the direct methods' frontier LU
+
+Each factor is stored once, in its level payload; ``state`` names the
+factorization that :meth:`repro.FastKernelSolver.resume` rebuilds from
+the levels by transplanting every node.
 
 ``MANIFEST.json`` is the source of truth: a payload file not listed
 there does not exist (crash-consistency — payloads are written and

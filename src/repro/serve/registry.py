@@ -176,10 +176,10 @@ class ModelRegistry:
         """Warm-load a model from a ``repro.checkpoint/v1`` directory.
 
         Uses :meth:`FastKernelSolver.resume`; when the checkpoint holds
-        no factorized ``state`` payload (the writer was killed before
-        :meth:`save_checkpoint`, or only per-level snapshots exist),
-        ``lam`` selects the factorization to (re)build — resuming from
-        whatever completed levels the checkpoint holds.
+        no ``state`` payload (the writer was killed before its
+        factorization finished, or never factorized), ``lam`` selects
+        the factorization to (re)build — resuming from whatever
+        completed levels the checkpoint holds.
         """
         solver = FastKernelSolver.resume(checkpoint_dir)
         if solver.factorization is None:

@@ -281,7 +281,7 @@ class HierarchicalFactorization:
         resume_nodes: dict[int, dict] | None = None,
         on_level=None,
         recover: bool = True,
-    ) -> None:
+    ) -> set[int]:
         """Factor every node under ``roots`` bottom-up, a tree level at a time.
 
         The one level loop of Algorithm II.2: :func:`factorize`, recovery
@@ -292,7 +292,7 @@ class HierarchicalFactorization:
         is a leaf or had both children transplanted; the rest of its
         level is factored.  ``on_level(level)`` runs after each level
         that factored a node; a level transplanted whole is marked
-        complete.
+        complete.  Returns the ids of the transplanted nodes.
         """
         tree = self.hmatrix.tree
         resume_nodes = resume_nodes or {}
@@ -322,10 +322,21 @@ class HierarchicalFactorization:
                 continue
             with span("factorize.level", attrs={"level": level, "nodes": len(todo)}):
                 self._factor_level(todo, deadline, recover=recover)
-            if len(todo) < len(members):
-                self._restore_node_order(members)
             if on_level is not None:
                 on_level(level)
+        for level in sorted(by_level, reverse=True):
+            self._restore_node_order(by_level[level])
+        if transplanted:
+            # a carried event enters with the first node restored under
+            # it; put each back where a climb that bumped it records it:
+            # at its node's level, in level order.
+            place = {
+                n.id: (-level, i)
+                for level, members in by_level.items()
+                for i, n in enumerate(members)
+            }
+            self.recovery_events.sort(key=lambda e: place.get(e["node_id"], (1, 0)))
+        return transplanted
 
     def _factor_level(
         self, nodes: list[Node], deadline=None, *, recover: bool = True
@@ -362,7 +373,6 @@ class HierarchicalFactorization:
             self.level_stacks.setdefault(nodes[0].level, []).extend(stacks)
         registry().counter("levelbatch.nodes").inc(len(nodes) - singles)
         registry().counter("levelbatch.fallback").inc(singles)
-        self._restore_node_order(nodes)
         position = {n.id: i for i, n in enumerate(nodes)}
         for node, message in sorted(broken, key=lambda b: position[b[0].id]):
             if not recover:
@@ -372,9 +382,11 @@ class HierarchicalFactorization:
     def _restore_node_order(self, nodes: list[Node]) -> None:
         """Re-insert ``nodes``' factors in node order.
 
-        Shape groups and transplants insert factors out of node order;
-        order-dependent float accumulations over the factor dicts
-        (slogdet's log sum) must not depend on how a level was grouped.
+        Shape groups, transplants and lambda bumps (which refactor a
+        whole subtree) insert factors out of node order; order-dependent
+        float accumulations over the factor dicts (slogdet's log sum)
+        must not depend on how a level was grouped or how its factors
+        were obtained.
         """
         for node in nodes:
             if node.id in self.leaf_factors:
@@ -677,8 +689,20 @@ class HierarchicalFactorization:
         recorded at it or at an ancestor, whose bump it (for a leaf, its
         ``lam_extra``) still holds after a transplant.  Payloads are a
         handful of dense arrays: the ``V`` blocks stay with the H-matrix.
+        Above the frontier, the root's payload is the coalesced frontier
+        system's LU (the root step of Algorithm II.2; direct methods).
         """
         events = [e for e in self.recovery_events if _refactored(e, node_id)]
+        if self.reduced is not None and node_id == self.hmatrix.tree.root.id:
+            z_lu, piv = self.reduced.z_lu
+            return {
+                "kind": "frontier",
+                "node_id": node_id,
+                "z_lu": z_lu,
+                "piv": piv,
+                "rcond": self.reduced.rcond,
+                "recovery_events": events,
+            }
         if node_id in self.leaf_factors:
             lf = self.leaf_factors[node_id]
             return {
@@ -884,8 +908,12 @@ class HierarchicalFactorization:
         return self.solve_subtree(node, P)
 
     # ------------------------------------------------------------------
-    def _build_reduced(self) -> None:
-        """Coalesced frontier system (section II-C / root of Alg. II.2)."""
+    def _build_reduced(self, root: dict | None = None) -> None:
+        """Coalesced frontier system (section II-C / root of Alg. II.2).
+
+        ``root`` is the root's :meth:`export_node_payload`: the direct
+        methods take its LU instead of assembling and factoring ``Z``.
+        """
         h = self.hmatrix
         slices = h.frontier_slices()
         size = sum(sl.stop - sl.start for sl in slices.values())
@@ -897,13 +925,16 @@ class HierarchicalFactorization:
             rcond=1.0,
         )
         if self.config.method != "hybrid":
-            Z = self._assemble_reduced(red)
             rec = self.config.recovery
-            check = self.config.check_stability or rec.enabled
-            anorm = float(np.linalg.norm(Z, 1)) if check else 0.0
-            red.z_lu = lapack.lu_factor(Z)
-            count_flops(2 * size**3 // 3, label="factor_reduced_lu")
-            red.rcond = estimate_rcond(red.z_lu[0], anorm) if check else 1.0
+            if root is not None:
+                red.z_lu, red.rcond = (root["z_lu"], root["piv"]), root["rcond"]
+            else:
+                Z = self._assemble_reduced(red)
+                check = self.config.check_stability or rec.enabled
+                anorm = float(np.linalg.norm(Z, 1)) if check else 0.0
+                red.z_lu = lapack.lu_factor(Z)
+                count_flops(2 * size**3 // 3, label="factor_reduced_lu")
+                red.rcond = estimate_rcond(red.z_lu[0], anorm) if check else 1.0
             self.stability.record("frontier", 1, red.rcond)
             if rec.enabled and is_breakdown(red.rcond, rec.rcond_breakdown):
                 # no local fix exists for the coalesced system — the
@@ -1253,10 +1284,11 @@ def factorize(
         entries (incremental updates, degradation rung 2) or
         :func:`level_payload_nodes` of checkpointed levels.  A node is
         transplanted if and only if it has a payload and is a leaf or
-        had both children transplanted.  Validity is the caller's
-        contract: a payload must come from a factorization at the same
-        lambda of the same subtree.  Transplanted nodes charge no
-        deadline work.
+        had both children transplanted.  The root's payload (the
+        coalesced frontier LU) is taken only when every frontier node
+        was transplanted.  Validity is the caller's contract: a payload
+        must come from a factorization at the same lambda of the same
+        subtree.  Transplanted nodes charge no deadline work.
     on_level:
         ``on_level(level, fact)`` called after each level that factored
         a node (the checkpoint write hook).
@@ -1274,7 +1306,8 @@ def factorize(
     -----
     StabilityWarning
         When a diagonal block or reduced system is ill-conditioned past
-        ``config.cond_threshold`` (paper section III detection).
+        ``config.cond_threshold`` (paper section III detection), unless
+        every block was transplanted.
     """
     from repro.resilience.deadline import current_deadline
 
@@ -1289,10 +1322,10 @@ def factorize(
     tree = hmatrix.tree
 
     if tree.depth == 0:
-        fact._factor_level([tree.root])
+        if not fact._factor_subtrees([tree.root], resume_nodes=resume_nodes):
+            fact.stability.warn_if_unstable()
         fact.completed_levels.add(0)
         fact._factored = True
-        fact.stability.warn_if_unstable()
         return fact
 
     def level_done(level: int) -> None:
@@ -1306,19 +1339,24 @@ def factorize(
             fact._drop_internal_phats(level + 1)
 
     # bottom-up over the nodes at/below the frontier.
-    fact._factor_subtrees(
+    transplanted = fact._factor_subtrees(
         hmatrix.frontier,
         deadline=deadline,
         resume_nodes=resume_nodes,
         on_level=level_done,
     )
+    # a refactored frontier P^ means a refactored frontier system too.
+    whole = all(f.id in transplanted for f in hmatrix.frontier)
+    root = (resume_nodes or {}).get(tree.root.id) if whole else None
 
     if deadline is not None:
         deadline.check("factorize.reduced")
     with span("factorize.reduced", attrs={"frontier": len(hmatrix.frontier)}):
-        fact._build_reduced()
+        fact._build_reduced(root)
     if config.storage == "low":
         fact._drop_internal_phats()
     fact._factored = True
-    fact.stability.warn_if_unstable()
+    if not whole or (root is None and config.method != "hybrid"):
+        # blocks only transplanted were reported where they were factored
+        fact.stability.warn_if_unstable()
     return fact

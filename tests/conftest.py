@@ -70,3 +70,63 @@ def hmatrix_restricted(points_small, gaussian_kernel):
             level_restriction=2,
         ),
     )
+
+
+@pytest.fixture()
+def resume_without_work():
+    """:meth:`FastKernelSolver.resume`, held to "rebuild, never refactor".
+
+    The returned ``resume(path)`` asserts that resuming spent no
+    ``factor_*`` flops, recorded no ``recovery.events`` and emitted no
+    warning, and that it transplanted every node of a factorization.
+    """
+    from repro.core import FastKernelSolver
+    from repro.obs import registry
+    from repro.solvers.factorization import HierarchicalFactorization
+    from repro.util.flops import FlopCounter
+
+    def resume(path):
+        events = registry().total("recovery.events")
+        warned = registry().total("warnings.emitted")
+        with FlopCounter() as counter:
+            resumed = FastKernelSolver.resume(path)
+        assert registry().total("recovery.events") == events
+        assert registry().total("warnings.emitted") == warned
+        assert [k for k in counter.by_label if k.startswith("factor_")] == []
+        fact = resumed.factorization
+        if isinstance(fact, HierarchicalFactorization):
+            assert fact.nodes_resumed == len(fact.leaf_factors) + len(fact.node_factors)
+        return resumed
+
+    return resume
+
+
+@pytest.fixture()
+def model_snapshot():
+    """``snapshot(solver, u)``: what a resumed solver reproduces bitwise.
+
+    The solve, slogdet (or its error's message), diagnostics less the
+    process-wide block-cache counters, health and the factorization's
+    lambda-bump events in order.
+    """
+    from repro.exceptions import NotFactorizedError
+
+    def snapshot(solver, u):
+        w = solver.solve(u)
+        solver.residual(u, w)
+        try:
+            logdet = solver.slogdet()
+        except NotFactorizedError as exc:
+            logdet = str(exc)
+        diagnostics = solver.diagnostics()
+        return {
+            "w": w.tobytes(),
+            "slogdet": logdet,
+            "diagnostics": {
+                k: v for k, v in diagnostics.items() if not k.startswith("cache_")
+            },
+            "health": solver.health,
+            "recovery_events": getattr(solver.factorization, "recovery_events", None),
+        }
+
+    return snapshot

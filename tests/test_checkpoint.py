@@ -5,8 +5,9 @@ sha256 in MANIFEST.json, the manifest carries a configuration
 fingerprint, and any mismatch — corrupt bytes, wrong schema, different
 problem — surfaces as :class:`CheckpointError` before a single wrong
 number can be produced.  Resume identity: a factorization restarted
-from a snapshot must match the uninterrupted one to 1e-12 (bitwise, in
-practice, since the restored factors are the same floats).
+from a snapshot must match the uninterrupted one to 1e-12, and
+``resume()`` rebuilds the saved factorization bitwise from the level
+payloads, the one copy of each factor on disk.
 """
 
 from __future__ import annotations
@@ -31,24 +32,34 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.perf import BlockCache, set_default_cache
 from repro.resilience import CHECKPOINT_SCHEMA, Checkpoint, config_fingerprint
+from repro.solvers.factorization import HierarchicalFactorization
 
 RNG = np.random.default_rng(17)
 X = RNG.standard_normal((512, 4))
 U = RNG.standard_normal(512)
 
 
-def make_solver(checkpoint_dir=None, recovery=False, bandwidth=2.0):
+def make_solver(
+    checkpoint_dir=None, recovery=False, bandwidth=2.0, level=0, budget=None, **solver
+):
     return FastKernelSolver(
         GaussianKernel(bandwidth=bandwidth),
         tree_config=TreeConfig(leaf_size=64, seed=0),
         skeleton_config=SkeletonConfig(
-            tau=1e-8, max_rank=48, num_samples=96, num_neighbors=4, seed=1
+            tau=1e-8,
+            max_rank=48,
+            num_samples=96,
+            num_neighbors=4,
+            seed=1,
+            level_restriction=level,
         ),
         solver_config=SolverConfig(
             recovery=RecoveryConfig(enabled=recovery),
             resilience=ResilienceConfig(
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None
+                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+                work_budget=budget,
             ),
+            **solver,
         ),
     )
 
@@ -367,3 +378,216 @@ class TestResumedBlocks:
         resumed.residual(U, resumed.solve(U))
         assert cache.words - held == held
         assert resumed.factorization.hmatrix._ns == resumed.hmatrix._ns
+
+
+def force_breakdowns(monkeypatch, node_ids):
+    """Report one breakdown at each internal node in ``node_ids``, the
+    first time it is factored (recovery rung 1 then bumps its subtree)."""
+    group = HierarchicalFactorization._factor_internal_group
+    forced = set()
+
+    def break_once(self, nodes, key, stacks, broken):
+        group(self, nodes, key, stacks, broken)
+        for node in nodes:
+            if node.id in node_ids and node.id not in forced:
+                forced.add(node.id)
+                broken.append((node, "forced breakdown"))
+
+    monkeypatch.setattr(HierarchicalFactorization, "_factor_internal_group", break_once)
+
+
+class TestResumeRebuilds:
+    """resume() rebuilds the saved factorization by transplanting every
+    node of the level payloads: bitwise, with no factorization work."""
+
+    @pytest.mark.parametrize(
+        "method, level, storage",
+        [
+            ("nlogn", 0, "full"),
+            ("nlogn", 0, "low"),
+            ("nlog2n", 0, "full"),  # low storage needs telescoping
+            ("direct", 2, "full"),
+            ("direct", 2, "low"),
+            ("hybrid", 2, "full"),
+            ("hybrid", 2, "low"),
+        ],
+    )
+    def test_methods_and_storage(
+        self, tmp_path, method, level, storage, resume_without_work, model_snapshot
+    ):
+        writer = make_solver(
+            tmp_path / "cp", level=level, method=method, storage=storage
+        ).fit(X)
+        writer.factorize(0.5)
+        expect = model_snapshot(writer, U)
+        resumed = resume_without_work(writer.save_checkpoint())
+        assert model_snapshot(resumed, U) == expect
+
+    def test_hybrid_resumes_matrix_free_after_its_switch(
+        self, tmp_path, resume_without_work, model_snapshot
+    ):
+        writer = make_solver(tmp_path / "cp", level=2, method="hybrid").fit(X)
+        writer.factorize(0.5)
+        expect = model_snapshot(writer, U)
+        writer.solve(RNG.standard_normal((len(X), 40)))
+        assert writer.factorization.reduced_operator == "assembled"
+        resumed = resume_without_work(writer.save_checkpoint())
+        assert resumed.factorization.reduced_operator == "matrix-free"
+        assert model_snapshot(resumed, U) == expect
+
+    @pytest.mark.filterwarnings("ignore::repro.exceptions.StabilityWarning")
+    def test_lambda_bumps_resume_in_order(
+        self, tmp_path, monkeypatch, resume_without_work, model_snapshot
+    ):
+        """Leaf bumps and two internal ones: a transplant restores an
+        internal node's event with its first leaf, yet the resumed
+        factorization lists the events as the writer recorded them."""
+        gen = np.random.default_rng(0)
+        writer = FastKernelSolver(
+            GaussianKernel(bandwidth=8.0),  # near rank-1: breaks plain LU
+            tree_config=TreeConfig(leaf_size=32),
+            skeleton_config=SkeletonConfig(rank=16),
+            solver_config=SolverConfig(
+                recovery=RecoveryConfig(enabled=True),
+                resilience=ResilienceConfig(checkpoint_dir=str(tmp_path / "cp")),
+            ),
+        ).fit(gen.standard_normal((256, 3)))
+        force_breakdowns(monkeypatch, {4, 7})
+        writer.factorize(0.0)
+        monkeypatch.undo()
+        bumped = [e["node_id"] for e in writer.factorization.recovery_events]
+        assert {4, 7} < set(bumped)
+        assert not writer.diagnostics()["stable"]
+        u = gen.standard_normal(256)
+        expect = model_snapshot(writer, u)
+        resumed = resume_without_work(writer.save_checkpoint())
+        assert model_snapshot(resumed, u) == expect
+
+    def test_state_follows_the_last_factorize(self, tmp_path, resume_without_work):
+        """A checkpointed factorize writes ``state`` when it finishes, so
+        a refit after save_checkpoint() resumes at the refit's lambda."""
+        writer = make_solver(tmp_path / "cp").fit(X)
+        writer.factorize(0.5)
+        writer.save_checkpoint()
+        writer.factorize(1.0)
+        resumed = resume_without_work(str(tmp_path / "cp"))
+        assert resumed.factorization.lam == 1.0
+        np.testing.assert_array_equal(resumed.solve(U), writer.solve(U))
+
+    def test_killed_refit_resumes_the_previous_lambda(self, tmp_path, monkeypatch):
+        """A refit killed after its first level leaves the previous
+        ``state``: resume returns that lambda, refactored, since the
+        refit overwrote the leaf level and a node is transplanted only
+        when its children were."""
+        writer = make_solver(tmp_path / "cp").fit(X)
+        writer.factorize(0.5)
+        w = writer.solve(U)
+
+        class Killed(Exception):
+            pass
+
+        save_level = Checkpoint.save_level
+
+        def save_then_die(self, level, payload, **kwargs):
+            save_level(self, level, payload, **kwargs)
+            raise Killed
+
+        monkeypatch.setattr(Checkpoint, "save_level", save_then_die)
+        with pytest.raises(Killed):
+            writer.factorize(1.0)
+        monkeypatch.undo()
+        resumed = FastKernelSolver.resume(tmp_path / "cp")
+        assert resumed.factorization.lam == 0.5
+        assert resumed.factorization.nodes_resumed == 0
+        np.testing.assert_array_equal(resumed.solve(U), w)
+
+
+class TestStateWrittenWithTheFactorization:
+    """Directories written when ``state`` pickled the whole
+    factorization still resume: it is read for its final path, then
+    dropped, and the factors come from the level payloads."""
+
+    @pytest.mark.parametrize(
+        "method, level, budget",
+        [("nlogn", 0, None), ("direct", 2, None), ("nlogn", 0, 10)],
+        ids=["nlogn", "direct", "frontier_freeze"],
+    )
+    def test_pickled_factorization_resumes_bitwise(
+        self, tmp_path, method, level, budget, resume_without_work, model_snapshot
+    ):
+        writer = make_solver(
+            tmp_path / "cp", level=level, method=method, budget=budget
+        ).fit(X)
+        writer.factorize(0.5)
+        if budget is not None:
+            assert writer.health.final_path == "hybrid"
+        expect = model_snapshot(writer, U)
+        path = writer.save_checkpoint()
+        cp = Checkpoint(path, fingerprint=writer.fingerprint())
+        cp.save(
+            "state",
+            {
+                "factorization": writer.factorization,
+                "health": writer.health,
+                "times": writer.times,
+                "lam": writer.factorization.lam,
+            },
+        )
+        resumed = resume_without_work(path)
+        assert model_snapshot(resumed, U) == expect
+
+
+def unpickled_classes(cp: Checkpoint, name: str) -> set[str]:
+    """Names of the classes that unpickling payload ``name`` looks up."""
+    found: set[str] = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, cls):
+            found.add(cls)
+            return super().find_class(module, cls)
+
+    with open(os.path.join(cp.path, cp.meta(name)["file"]), "rb") as f:
+        Recorder(f).load()
+    return found
+
+
+class TestOneCopyOnDisk:
+    """Each factor is stored once, in its level payload; the H-matrix
+    once, in ``skeletons``."""
+
+    @pytest.mark.parametrize(
+        "method, level, budget",
+        [("nlogn", 0, None), ("hybrid", 2, None), ("nlogn", 0, 3)],
+        ids=["nlogn", "hybrid", "iterative"],
+    )
+    def test_only_skeletons_unpickles_an_hmatrix(self, tmp_path, method, level, budget):
+        solver = make_solver(
+            tmp_path / "cp", level=level, method=method, budget=budget
+        ).fit(X)
+        solver.factorize(0.5)
+        solver.solve(U)
+        cp = Checkpoint(solver.save_checkpoint(), mode="inspect")
+        assert "state" in cp.names()
+        for name in cp.names():
+            found = unpickled_classes(cp, name)
+            assert ("HMatrix" in found) == (name == "skeletons"), name
+            assert not {"HierarchicalFactorization", "IterativeFallback"} & found
+
+    def test_hybrid_state_does_not_grow_with_solves(self, tmp_path):
+        """GMRES histories and the assembled reduced operator stay off
+        disk: ``state`` is the same bytes after 1 solved column and
+        after 40, past the assembly switch."""
+        solver = make_solver(tmp_path / "cp", level=2, method="hybrid").fit(X)
+        solver.factorize(0.5)
+        solver.solve(U)
+
+        def state_bytes():
+            cp = Checkpoint(solver.save_checkpoint(), mode="inspect")
+            with open(os.path.join(cp.path, cp.meta("state")["file"]), "rb") as f:
+                return f.read()
+
+        one = state_bytes()
+        # the factorization's own solve leaves the stage clock alone.
+        solver.factorization.solve(RNG.standard_normal((len(X), 39)))
+        assert solver.factorization.reduced_operator == "assembled"
+        assert state_bytes() == one

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import (
+    RecoveryConfig,
     ResilienceConfig,
     SkeletonConfig,
     SolverConfig,
@@ -237,21 +238,79 @@ class TestDegradationLadder:
         assert solver.health.final_path == "hybrid"
         assert solver.residual(u, w) < 1e-6
 
-    def test_frozen_frontier_checkpoint_resumes_bitwise(self, tmp_path):
-        # the state payload carries the factorization at its moved
-        # frontier; resume must read blocks at that frontier too.
+    def test_frozen_frontier_checkpoint_resumes_bitwise(
+        self, tmp_path, resume_without_work, model_snapshot
+    ):
+        # the state payload names the moved frontier; resume rebuilds the
+        # hybrid factorization there, as factorize() left the directory
+        # and as save_checkpoint() writes it.
         X, u = small_problem(n=512)
+        path = str(tmp_path / "cp")
         solver = make_solver(
-            ResilienceConfig(work_budget=10, checkpoint_dir=str(tmp_path / "cp"))
+            ResilienceConfig(work_budget=10, checkpoint_dir=path)
         ).fit(X)
         solver.factorize(0.5)
         assert solver.health.final_path == "hybrid"
         frontier = [f.id for f in solver.factorization.hmatrix.frontier]
         assert len(frontier) == 8
-        w = solver.solve(u)
-        resumed = FastKernelSolver.resume(solver.save_checkpoint())
-        assert [f.id for f in resumed.factorization.hmatrix.frontier] == frontier
-        np.testing.assert_array_equal(resumed.solve(u), w)
+        expect = model_snapshot(solver, u)
+        for resumed in (
+            resume_without_work(path),
+            resume_without_work(solver.save_checkpoint()),
+        ):
+            assert [f.id for f in resumed.factorization.hmatrix.frontier] == frontier
+            assert model_snapshot(resumed, u) == expect
+
+    def test_descended_frontier_checkpoint_resumes_bitwise(
+        self, tmp_path, monkeypatch, resume_without_work, model_snapshot
+    ):
+        """Rung 2 after a breakdown: the hybrid one level down.  The
+        levels on disk were written for the configured method; ``state``
+        is written with the hybrid factorization's levels.  (The writer's
+        cache also holds the pair blocks of the frontier it abandoned, so
+        the H-matrix's stored words are not compared.)"""
+        import repro.solvers.factorization as factorization
+
+        X, u = small_problem(n=512)
+        path = str(tmp_path / "cp")
+        solver = make_solver(
+            ResilienceConfig(checkpoint_dir=path),
+            recovery=RecoveryConfig(enabled=True),
+        ).fit(X)
+        # only the coalesced frontier LU estimates its rcond one by one
+        monkeypatch.setattr(factorization, "estimate_rcond", lambda lu, anorm: 0.0)
+        solver.factorize(0.5)
+        monkeypatch.undo()
+        assert solver.health.final_path == "hybrid"
+        assert "frontier_fallback" in {e.stage for e in solver.health.events}
+        frontier = [f.id for f in solver.factorization.hmatrix.frontier]
+        assert len(frontier) == 2 * len(solver.hmatrix.frontier)
+        expect = model_snapshot(solver, u)
+        del expect["diagnostics"]["hmatrix_storage_words"]
+        for resumed in (
+            resume_without_work(path),
+            resume_without_work(solver.save_checkpoint()),
+        ):
+            assert [f.id for f in resumed.factorization.hmatrix.frontier] == frontier
+            got = model_snapshot(resumed, u)
+            del got["diagnostics"]["hmatrix_storage_words"]
+            assert got == expect
+
+    def test_iterative_fallback_checkpoint_resumes_bitwise(
+        self, tmp_path, resume_without_work, model_snapshot
+    ):
+        # rung 3: the same GMRES solve, health events and slogdet error.
+        X, u = small_problem()
+        solver = make_solver(
+            ResilienceConfig(work_budget=3, checkpoint_dir=str(tmp_path / "cp"))
+        ).fit(X)
+        solver.factorize(0.5)
+        assert solver.health.final_path == "iterative"
+        expect = model_snapshot(solver, u)
+        assert "never factorizes" in expect["slogdet"]
+        resumed = resume_without_work(solver.save_checkpoint())
+        assert type(resumed.factorization) is type(solver.factorization)
+        assert model_snapshot(resumed, u) == expect
 
     def test_degrade_off_raises_at_fit(self):
         # without the ladder, skeletonization charges per node and the

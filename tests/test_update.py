@@ -647,9 +647,10 @@ class TestOneFactorizationPath:
     def test_checkpointed_insert_writes_each_payload_once(
         self, X, tmp_path, monkeypatch
     ):
-        """The refactorization writes the model and each level it factors;
-        the update then adds only ``state``.  Events carried in by
-        transplanted nodes are no reason to write a level again."""
+        """The refactorization writes the model, each level it factors
+        and ``state``; the update itself writes nothing more.  Events
+        carried in by transplanted nodes are no reason to write a level
+        again."""
         solver = small_solver(
             X,
             SolverConfig(
