@@ -12,8 +12,8 @@ the skeleton-row blocks of PRECOMPUTED summations) live in a shared
 :class:`~repro.perf.BlockCache` under one namespace per model, so the
 storage budget applies uniformly; the lightweight
 :class:`~repro.kernels.summation.KernelSummation` wrappers are memoized
-per block under the cache's striped locks, which lets the task-parallel
-factorization executor fill different blocks concurrently.
+per block under the cache's striped locks, which lets vMPI thread ranks
+and concurrent solves fill different blocks concurrently.
 """
 
 from __future__ import annotations
@@ -478,8 +478,7 @@ def build_hmatrix(
     X = check_points(X)
     with span("tree", counters=True, attrs={"n": X.shape[0], "d": X.shape[1]}):
         tree = BallTree(X, tree_config)
-    with span("skeletonize", counters=True, fallback=True,
-              attrs={"depth": tree.depth}):
+    with span("skeletonize", counters=True, attrs={"depth": tree.depth}):
         sset = skeletonize(
             tree,
             kernel,

@@ -83,8 +83,8 @@ class GSKSWorkspace:
     Allocating the tile once per traversal (rather than per call)
     matters when the solver performs thousands of small summations.
     The buffer is *thread-local*: one workspace object may be shared by
-    the task-parallel executor and the virtual-MPI rank threads without
-    tile races (each thread lazily gets its own tile).
+    the virtual-MPI rank threads and concurrent solves without tile
+    races (each thread lazily gets its own tile).
 
     Tile sizes default to :func:`autotuned_tiles`; they are fixed at
     construction and travel with the pickled workspace, so every worker

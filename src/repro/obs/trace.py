@@ -9,11 +9,8 @@ ASCII tree (``repro trace``).
 Design points:
 
 * **thread-local nesting** — each thread keeps its own span stack, so
-  concurrent solves nest correctly;
-* **fallback parent** — stage spans opened with ``fallback=True``
-  (factorize, solve) register as the parent for spans started on
-  *worker* threads whose local stack is empty, which is how per-node
-  work from the task-parallel executor lands under its stage;
+  concurrent solves nest correctly: a span opened on a thread with no
+  open span is a root, whatever other threads have open;
 * **counter deltas** — spans opened with ``counters=True`` snapshot the
   registry's counter totals on entry and store the delta on exit, so
   the trace shows e.g. how many cache misses each stage caused;
@@ -76,17 +73,16 @@ class Span:
 class _SpanHandle:
     """Context manager for one span (returned by :meth:`Tracer.span`)."""
 
-    __slots__ = ("_tracer", "span", "_counters_before", "_track_counters", "_fallback")
+    __slots__ = ("_tracer", "span", "_counters_before", "_track_counters")
 
-    def __init__(self, tracer: "Tracer", sp: Span, track_counters: bool, fallback: bool):
+    def __init__(self, tracer: "Tracer", sp: Span, track_counters: bool):
         self._tracer = tracer
         self.span = sp
         self._track_counters = track_counters
         self._counters_before: dict | None = None
-        self._fallback = fallback
 
     def __enter__(self) -> Span:
-        self._tracer._enter(self.span, fallback=self._fallback)
+        self._tracer._enter(self.span)
         if self._track_counters:
             self._counters_before = self._tracer._registry().counter_totals()
         return self.span
@@ -103,7 +99,7 @@ class _SpanHandle:
             }
             if delta:
                 sp.counter_delta = delta
-        self._tracer._exit(sp, fallback=self._fallback)
+        self._tracer._exit(sp)
 
 
 class _NoopHandle:
@@ -154,7 +150,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._roots: list[Span] = []
         self._tls = threading.local()
-        self._fallback_stack: list[Span] = []
         self._n_spans = 0
         self.dropped_spans = 0
         self._sample_counts: dict[str, int] = {}
@@ -169,7 +164,6 @@ class Tracer:
         *,
         attrs: dict | None = None,
         counters: bool = False,
-        fallback: bool = False,
         sampled: bool = False,
     ):
         """Open a span context.  See the module docstring for the knobs."""
@@ -180,7 +174,7 @@ class Tracer:
                 self.dropped_spans += 1
                 return _NOOP
             self._n_spans += 1
-        return _SpanHandle(self, Span(name, attrs), counters, fallback)
+        return _SpanHandle(self, Span(name, attrs), counters)
 
     def _sample(self, name: str) -> bool:
         if self.sample_every <= 0:
@@ -196,27 +190,19 @@ class Tracer:
             stack = self._tls.stack = []
         return stack
 
-    def _enter(self, sp: Span, *, fallback: bool) -> None:
+    def _enter(self, sp: Span) -> None:
         stack = self._stack()
         with self._lock:
             if stack:
                 stack[-1].children.append(sp)
-            elif self._fallback_stack:
-                self._fallback_stack[-1].children.append(sp)
             else:
                 self._roots.append(sp)
-            if fallback:
-                self._fallback_stack.append(sp)
         stack.append(sp)
 
-    def _exit(self, sp: Span, *, fallback: bool) -> None:
+    def _exit(self, sp: Span) -> None:
         stack = self._stack()
         if stack and stack[-1] is sp:
             stack.pop()
-        if fallback:
-            with self._lock:
-                if self._fallback_stack and self._fallback_stack[-1] is sp:
-                    self._fallback_stack.pop()
 
     # -- export ----------------------------------------------------------
     def tree(self) -> list[dict]:
@@ -256,7 +242,6 @@ class Tracer:
     def reset(self) -> None:
         with self._lock:
             self._roots.clear()
-            self._fallback_stack.clear()
             self._n_spans = 0
             self.dropped_spans = 0
             self._sample_counts.clear()

@@ -28,7 +28,6 @@ from repro.parallel.taskdag import (
     TaskDAG,
     build_factor_dag,
     simulate_schedule,
-    execute_factorization,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "TaskDAG",
     "build_factor_dag",
     "simulate_schedule",
-    "execute_factorization",
 ]

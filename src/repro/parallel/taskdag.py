@@ -1,11 +1,13 @@
-"""Task-parallel tree traversal (the paper's stated future work).
+"""Task-parallel tree traversal (the paper's stated future work), modelled.
 
 From the conclusions: *"we would like to introduce task parallelism in
 the tree traversal to address the load balancing issue.  While adaptive
 ranks ... are used, each treenode may have different workload.  In this
 case, scheduling is important to avoid the critical path."*
 
-This module implements that:
+This module models that question; it does not execute the
+factorization (every in-process factorization runs
+:func:`repro.solvers.factorize`'s level loop on the caller's thread):
 
 * :func:`build_factor_dag` — the factorization as a task DAG: one task
   per node at/below the frontier (child tasks precede the parent, which
@@ -18,28 +20,17 @@ This module implements that:
   level-by-level traversal with a barrier per level) and ``"task"``
   (list scheduling by critical-path priority, no barriers).  Returns
   makespan and utilization, quantifying what task parallelism buys.
-* :func:`execute_factorization` — a real executor: runs the node tasks
-  of :func:`repro.solvers.factorize` on a thread pool respecting the
-  DAG, producing a factorization identical to the serial one.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import SolverConfig
-from repro.exceptions import (
-    ConfigurationError,
-    DeadlineExceededError,
-    DeadlockError,
-)
+from repro.exceptions import ConfigurationError
 from repro.hmatrix.hmatrix import HMatrix
-from repro.solvers.factorization import HierarchicalFactorization
 
 __all__ = [
     "FactorTask",
@@ -47,7 +38,6 @@ __all__ = [
     "ScheduleResult",
     "build_factor_dag",
     "simulate_schedule",
-    "execute_factorization",
 ]
 
 #: task id of the coalesced frontier stage (tree node ids start at 1,
@@ -272,119 +262,4 @@ def simulate_schedule(
         total_cost=dag.total_cost,
         utilization=util,
     )
-
-
-def execute_factorization(
-    hmatrix: HMatrix,
-    lam: float = 0.0,
-    config: SolverConfig | None = None,
-    *,
-    n_workers: int = 4,
-    timeout: float = 600.0,
-) -> HierarchicalFactorization:
-    """Run the factorization with real dependency-driven task parallelism.
-
-    Produces a :class:`HierarchicalFactorization` identical (to roundoff)
-    to the serial :func:`repro.solvers.factorize`; node tasks execute as
-    soon as their children finish, on a thread pool over the shared
-    factorization (LAPACK/BLAS release the GIL, so heavy nodes genuinely
-    overlap).  The numerical recovery ladder (``config.recovery``) runs
-    unchanged.  For factorization on separate cores use
-    ``distributed_factorize(backend="socket")`` (docs/PARALLELISM.md).
-
-    ``timeout`` is the deadlock watchdog: if the DAG fails to complete
-    within it (a lost wakeup, a dependency cycle from a corrupted DAG),
-    a :class:`~repro.exceptions.DeadlockError` is raised instead of
-    silently proceeding with a half-built factorization.  An installed
-    :func:`repro.resilience.deadline_scope` deadline is propagated into
-    every worker (contextvars do not cross thread spawns on their own),
-    checked at task start, and additionally clamps the watchdog.
-    """
-    from repro.resilience.deadline import current_deadline, deadline_scope
-
-    config = config or SolverConfig()
-    if timeout <= 0:
-        raise ConfigurationError(f"timeout must be > 0; got {timeout}")
-    dl = current_deadline()
-    if config.method == "nlog2n":
-        raise ConfigurationError(
-            "task-parallel execution supports the telescoping methods "
-            "(the [36] recursion re-enters whole subtrees)"
-        )
-    fact = HierarchicalFactorization(hmatrix, lam, config)
-    tree = hmatrix.tree
-    if tree.depth == 0:
-        fact._factor_level([tree.root])
-        fact._factored = True
-        return fact
-
-    dag = build_factor_dag(hmatrix)
-    succ = dag.successors()
-    pending = {tid: len(t.deps) for tid, t in dag.tasks.items()}
-    lock = threading.Lock()
-    done = threading.Event()
-    errors: list[BaseException] = []
-
-    def run_task(tid: int) -> None:
-        try:
-            with deadline_scope(dl):
-                if dl is not None:
-                    dl.check(f"taskdag.task({tid})")
-                if tid == REDUCED_TASK:
-                    fact._build_reduced()
-                else:
-                    # the level step with one node; a recovery rung
-                    # re-factors this node's subtree: finished, and
-                    # touched by no other task until this one ends.
-                    fact._factor_level([tree.node(tid)])
-        except BaseException as exc:  # noqa: BLE001 - propagate to caller
-            errors.append(exc)
-            done.set()
-            return
-        newly_ready = []
-        with lock:
-            for s in succ[tid]:
-                pending[s] -= 1
-                if pending[s] == 0:
-                    newly_ready.append(s)
-            remaining = sum(pending.values())
-        for s in newly_ready:
-            pool.submit(run_task, s)
-        if remaining == 0 and not newly_ready and tid == REDUCED_TASK:
-            done.set()
-
-    effective = timeout
-    if dl is not None and dl.remaining() != float("inf"):
-        # no point watching longer than the budget itself allows.
-        effective = min(timeout, dl.remaining() + 5.0)
-
-    # no `with` block: the executor's __exit__ joins worker threads, so
-    # a genuinely hung DAG would block there forever and the watchdog
-    # below could never fire.
-    ok = False
-    pool = ThreadPoolExecutor(max_workers=max(1, n_workers))
-    try:
-        for tid, cnt in pending.items():
-            if cnt == 0:
-                pool.submit(run_task, tid)
-        ok = done.wait(timeout=effective)
-    finally:
-        pool.shutdown(wait=ok, cancel_futures=not ok)
-    if errors:
-        raise errors[0]
-    if not ok:
-        if dl is not None and dl.expired:
-            raise DeadlineExceededError(
-                f"task-parallel factorization exceeded its deadline "
-                f"(watchdog after {effective:.1f}s)"
-            )
-        raise DeadlockError(
-            f"task-parallel factorization stalled: {sum(pending.values())} "
-            f"unresolved dependencies after {effective:.1f}s (lost wakeup "
-            "or cyclic DAG); refusing to proceed with a partial factorization"
-        )
-
-    fact._factored = True
-    fact.stability.warn_if_unstable()
-    return fact
 

@@ -15,9 +15,8 @@ choice into a per-block decision:
   blocks that fit; the roofline model agrees on the probed host and on
   ``PYTHON_NODE``);
 * **striped per-key fill locks** let concurrent misses on *different*
-  keys compute in parallel (the task-parallel factorization executor
-  previously serialized on one H-matrix cache lock) while concurrent
-  misses on the *same* key compute the block exactly once;
+  keys (vMPI thread ranks, concurrent solves) compute in parallel while
+  concurrent misses on the *same* key compute the block exactly once;
 * hit/miss/eviction/rejection counters and a peak-storage high-water
   mark feed the telemetry gauges and the repository benchmark's
   ``perf.cache_*`` metrics (``perfbench/run.py``).

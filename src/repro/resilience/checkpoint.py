@@ -255,24 +255,28 @@ class Checkpoint:
                 f"(have: {self.names()})"
             )
         fpath = os.path.join(self.path, entry["file"])
-        if not os.path.exists(fpath):
+        # one read: the bytes unpickled are the bytes hashed, so a
+        # concurrent writer's replace cannot slip unverified bytes in.
+        try:
+            with open(fpath, "rb") as f:
+                blob = f.read()
+        except FileNotFoundError:
             raise CheckpointError(
                 f"checkpoint payload file missing: {fpath} (manifest lists it)"
-            )
-        digest = _sha256_file(fpath)
+            ) from None
+        digest = hashlib.sha256(blob).hexdigest()
         if digest != entry["sha256"]:
             raise CheckpointError(
                 f"checkpoint payload {name!r} is corrupted: sha256 "
                 f"{digest:.16} != recorded {entry['sha256']:.16}; "
                 "refusing to load"
             )
-        with open(fpath, "rb") as f:
-            try:
-                return pickle.load(f)
-            except Exception as exc:
-                raise CheckpointError(
-                    f"checkpoint payload {name!r} failed to unpickle: {exc}"
-                ) from exc
+        try:
+            return pickle.loads(blob)
+        except Exception as exc:
+            raise CheckpointError(
+                f"checkpoint payload {name!r} failed to unpickle: {exc}"
+            ) from exc
 
     def meta(self, name: str) -> dict:
         entry = self.manifest["payloads"].get(name)

@@ -16,9 +16,9 @@ operation (one leaf LU, one reduced-system solve), not by the whole
 factorization.
 
 Thread propagation: a ``ContextVar`` does not cross thread spawns, so
-the executors that fan work out to threads (``run_spmd``, the task-DAG
-executor) capture :func:`current_deadline` in the caller and
-re-install it inside each worker.
+``run_spmd``, which fans work out to rank threads, captures
+:func:`current_deadline` in the caller and re-installs it inside each
+rank.
 """
 
 from __future__ import annotations

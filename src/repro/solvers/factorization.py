@@ -29,9 +29,9 @@ nodes are grouped by operand shape and each step of eq. (8)/(10) is one
 stacked GEMM / LU / solve per group (:mod:`repro.perf.levelbatch`).  A
 group the batching policy declines runs as groups of one through the
 same code, so a node's factors do not depend on how its level was
-grouped — which is what lets the distributed local phase, the task-DAG
-executor, incremental updates and low-storage re-telescoping reproduce
-the serial full-storage factors bit for bit.
+grouped — which is what lets the distributed local phase, incremental
+updates and low-storage re-telescoping reproduce the serial
+full-storage factors bit for bit.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Serialized LAPACK entry points.
 
-The factorization and the virtual-MPI/task-parallel executors call
-LAPACK from multiple Python threads.  Some OpenBLAS builds (including
+The virtual-MPI thread ranks and concurrent solves call LAPACK from
+multiple Python threads.  Some OpenBLAS builds (including
 the scipy-openblas wheels) are not thread-safe for the LAPACK solve
 wrappers even with ``OPENBLAS_NUM_THREADS=1`` — concurrent ``getrs``
 calls occasionally return corrupted results (observed directly in this

@@ -49,8 +49,7 @@ class StageTimes:
 
     Mirrors the columns the paper reports: ASKIT build time, ``Tf``
     (factorization time) and ``Ts`` (solve time).  Accumulation is
-    thread-safe — the task-parallel executor and concurrent solves may
-    add to the same stage.
+    thread-safe — concurrent solves add to the same stage.
     """
 
     stages: dict[str, float] = field(default_factory=dict)
@@ -72,9 +71,7 @@ class StageTimes:
 
         class _Stage:
             def __enter__(self_inner):
-                self_inner._handle = tracer().span(
-                    name, counters=True, fallback=True
-                )
+                self_inner._handle = tracer().span(name, counters=True)
                 self_inner._t = time.perf_counter()
                 self_inner._handle.__enter__()
                 return self_inner

@@ -1,8 +1,9 @@
 """BlockCache: budget/LRU/policy unit tests + concurrent-fill stress.
 
 The cache's hard invariant — persistent words never exceed the budget,
-even while the task-parallel factorization executor fills it from many
-threads — is what makes ``configure_default_cache`` a safe memory knob.
+even while thread ranks of a distributed factorization fill it
+concurrently — is what makes ``configure_default_cache`` a safe memory
+knob.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.config import SkeletonConfig, SolverConfig, TreeConfig
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
-from repro.parallel.taskdag import execute_factorization
+from repro.parallel import distributed_factorize, distributed_solve
 from repro.perf import (
     BlockCache,
     BlockInfo,
@@ -256,7 +257,7 @@ class TestNamespaces:
 
 
 class TestConcurrentFactorization:
-    """ISSUE satellite: the stress test for the budgeted cache."""
+    """The stress test for the budgeted cache: concurrent fills."""
 
     def _problem(self, cache):
         X = np.random.default_rng(5).standard_normal((512, 3))
@@ -274,19 +275,18 @@ class TestConcurrentFactorization:
         budget = 6000  # a handful of 32x32 leaf blocks: forces churn
         cache = BlockCache(budget_words=budget)
         h = self._problem(cache)
-        fact = execute_factorization(h, 0.4, n_workers=4)
+        dist = distributed_factorize(h, 0.4, 4, backend="thread")
+        u = np.random.default_rng(6).standard_normal((512, 4))
+        w, _ = distributed_solve(dist, u)
         assert cache.stats().peak_words <= budget  # exact high-water mark
 
         serial_cache = BlockCache()  # unbounded, single-threaded reference
         h_ref = self._problem(serial_cache)
         ref = factorize(h_ref, 0.4, SolverConfig())
-
-        u = np.random.default_rng(6).standard_normal((512, 4))
-        w = fact.solve(u)
         w_ref = ref.solve(u)
         scale = np.abs(w_ref).max()
         assert np.abs(w - w_ref).max() < 1e-12 * max(1.0, scale)
-        assert fact.residual(u[:, 0], w[:, 0]) < 1e-10
+        assert ref.residual(u[:, 0], w[:, 0]) < 1e-10
 
     def test_concurrent_fills_share_one_block(self):
         cache = BlockCache()

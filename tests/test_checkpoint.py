@@ -95,6 +95,10 @@ class TestCheckpointStore:
         cp = Checkpoint(tmp_path / "cp")
         with pytest.raises(CheckpointError, match="no payload"):
             cp.load("ghost")
+        cp.save("data", 1)
+        os.remove(os.path.join(cp.path, cp.manifest["payloads"]["data"]["file"]))
+        with pytest.raises(CheckpointError, match="file missing"):
+            cp.load("data")
 
     def test_corrupt_payload_raises_never_unpickles(self, tmp_path):
         cp = Checkpoint(tmp_path / "cp")
@@ -105,6 +109,30 @@ class TestCheckpointStore:
             f.write(b"\x00\x00\x00\x00")
         with pytest.raises(CheckpointError, match="corrupted"):
             Checkpoint(tmp_path / "cp").load("data")
+
+    def test_load_reads_each_payload_once(self, tmp_path, monkeypatch):
+        """The bytes unpickled are the bytes hashed: one open per load."""
+        import builtins
+
+        cp = Checkpoint(tmp_path / "cp")
+        cp.save("data", {"x": np.arange(3.0)})
+        cp.save_level(2, {"level": 2}, lam=0.5, method="nlogn")
+        cp = Checkpoint(tmp_path / "cp")
+        payloads = {
+            os.path.join(cp.path, e["file"]) for e in cp.manifest["payloads"].values()
+        }
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) in payloads:
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert cp.load("data")["x"].tolist() == [0.0, 1.0, 2.0]
+        assert cp.load_levels(lam=0.5, method="nlogn") == {2: {"level": 2}}
+        assert sorted(opened) == sorted(payloads)
 
     def test_schema_mismatch_refused(self, tmp_path):
         cp = Checkpoint(tmp_path / "cp")

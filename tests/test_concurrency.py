@@ -9,7 +9,7 @@ from repro.config import SkeletonConfig, SolverConfig, TreeConfig
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
 from repro.kernels.gsks import GSKSWorkspace, gsks_matvec
-from repro.parallel import execute_factorization
+from repro.parallel import distributed_factorize, distributed_solve
 from repro.solvers import factorize
 
 RNG = np.random.default_rng(35)
@@ -49,8 +49,9 @@ class TestWorkspaceThreadSafety:
             assert np.allclose(got, want, atol=1e-10)
 
     def test_taskparallel_fused_factorization(self):
-        """Task-parallel factorization with the FUSED summation: the
-        regression case for the shared-tile race."""
+        """Thread-rank factorization with the FUSED summation: the
+        regression case for the shared-tile race (the ranks factor
+        their subtrees through one H-matrix and its GSKS workspace)."""
         X = RNG.standard_normal((512, 4))
         h = build_hmatrix(
             X,
@@ -66,8 +67,9 @@ class TestWorkspaceThreadSafety:
         u = RNG.standard_normal(512)
         w_ref = serial.solve(u)
         for _ in range(3):  # repeated runs to catch flaky interleavings
-            par = execute_factorization(h, 0.5, cfg, n_workers=8)
-            assert np.allclose(par.solve(u), w_ref, atol=1e-9)
+            dist = distributed_factorize(h, 0.5, 4, cfg, backend="thread")
+            w, _ = distributed_solve(dist, u)
+            assert np.allclose(w, w_ref, atol=1e-9)
 
     def test_concurrent_solves_share_factorization(self):
         """solve() is read-only on the factors: concurrent solves agree."""

@@ -1,5 +1,6 @@
 """Cross-cutting edge cases: odd geometries, kernels, small problems."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from repro.hmatrix import build_hmatrix
 from repro.hmatrix.dense import assemble_dense_block
 from repro.kernels import GaussianKernel, MaternKernel, PolynomialKernel
 from repro.learning import GaussianProcessRegressor
-from repro.parallel import execute_factorization
 from repro.solvers import factorize
 
 RNG = np.random.default_rng(36)
@@ -145,6 +145,8 @@ class TestAdaptiveFrontierIntegration:
         assert fact.residual(u, w) < 1e-7
 
     def test_taskparallel_on_restricted_frontier(self):
+        """Concurrent solves on a restricted frontier's direct
+        factorization match sequential solves bitwise."""
         X = RNG.standard_normal((512, 4))
         h = build_hmatrix(
             X,
@@ -155,10 +157,23 @@ class TestAdaptiveFrontierIntegration:
                 level_restriction=2,
             ),
         )
-        serial = factorize(h, 0.5)
-        parallel = execute_factorization(h, 0.5, n_workers=4)
-        u = RNG.standard_normal(512)
-        assert np.allclose(parallel.solve(u), serial.solve(u), atol=1e-10)
+        fact = factorize(h, 0.5, SolverConfig(method="direct"))
+        us = [RNG.standard_normal(512) for _ in range(8)]
+        expected = [fact.solve(u) for u in us]
+        results = [None] * len(us)
+
+        def work(i):
+            for _ in range(3):
+                results[i] = fact.solve(us[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(us))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
 
 
 class TestDenseAssembly:

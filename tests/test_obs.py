@@ -28,6 +28,7 @@ from repro.obs import (
     registry,
     render_trace,
     reset_telemetry,
+    set_tracer,
     telemetry_snapshot,
     tracer,
 )
@@ -133,19 +134,22 @@ class TestTracer:
         (root,) = tr.tree()
         assert root["counters"] == {"work": 4}
 
-    def test_fallback_parent_adopts_worker_thread_spans(self):
-        tr = Tracer()
-        with tr.span("factorize", fallback=True):
+    def test_worker_thread_span_is_a_root(self):
+        """Nesting never crosses threads: a span a worker opens while
+        the main thread holds a stage span is a root of its own."""
 
-            def worker():
-                with tr.span("node"):
-                    pass
+        def worker():
+            with tracer().span("node"):
+                pass
 
+        with StageTimes().time("factorize"):
             t = threading.Thread(target=worker)
             t.start()
-            t.join()
-        (root,) = tr.tree()
-        assert [c["name"] for c in root["children"]] == ["node"]
+            t.join(timeout=30)
+        assert not t.is_alive()
+        roots = tracer().tree()
+        assert [r["name"] for r in roots] == ["factorize", "node"]
+        assert "children" not in roots[0]
 
     def test_sampling_keeps_one_in_n(self):
         tr = Tracer(sample_every=3)
@@ -368,6 +372,55 @@ class TestEndToEndTelemetry:
         assert reduced["counters"]["gmres.solves"] == 3
         rendered = render_trace()
         assert "solve.reduced" in rendered and "gmres.orthogonalize_s" in rendered
+
+    def test_concurrent_solve_spans_stay_apart(self):
+        """Two threads solving on one fitted solver: every ``solve``
+        stage span is a root, and a span opened afterwards is too."""
+        n = 2048
+        solver = FastKernelSolver(
+            GaussianKernel(bandwidth=1.0),
+            tree_config=TreeConfig(leaf_size=128, seed=0),
+            skeleton_config=SkeletonConfig(
+                tau=1e-5, max_rank=48, num_samples=128, num_neighbors=8, seed=1
+            ),
+        )
+        solver.fit(RNG.standard_normal((n, 3)))
+        solver.factorize(0.5)
+        us = [RNG.standard_normal(n) for _ in range(2)]
+        errors: list[BaseException] = []
+
+        def work(u):
+            try:
+                for _ in range(10):
+                    solver.solve(u)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        tr = Tracer()
+        previous = set_tracer(tr)
+        try:
+            threads = [threading.Thread(target=work, args=(u,)) for u in us]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            with tr.span("after"):
+                pass
+        finally:
+            set_tracer(previous)
+
+        def names_below(sp):
+            for child in sp.get("children", []):
+                yield child["name"]
+                yield from names_below(child)
+
+        roots = tr.tree()
+        assert [r["name"] for r in roots].count("solve") == 20
+        assert not any("solve" in names_below(r) for r in roots)
+        assert roots[-1]["name"] == "after"
+        assert "children" not in roots[-1]
 
     def test_telemetry_snapshot_standalone_schema(self):
         snap = telemetry_snapshot()

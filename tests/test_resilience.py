@@ -2,7 +2,7 @@
 
 Covers the primitive layer (Deadline / WorkBudget / CoarsenPolicy with
 an injectable clock), the context propagation (deadline_scope across
-plain calls, task-DAG workers, SPMD ranks), and the solver-level
+plain calls and SPMD ranks), and the solver-level
 behavior the ladder promises: a too-tight budget yields a degraded but
 finite answer with the rung recorded, while ``degrade=False`` raises.
 """
@@ -22,9 +22,7 @@ from repro.config import (
 from repro.core import FastKernelSolver
 from repro.exceptions import (
     BudgetExhaustedError,
-    ConfigurationError,
     DeadlineExceededError,
-    DeadlockError,
 )
 from repro.kernels import GaussianKernel
 from repro.resilience import (
@@ -364,37 +362,6 @@ class TestDegradationLadder:
         w = solver.solve(u)
         assert np.all(np.isfinite(w))
         assert solver.health.degraded
-
-
-class TestTaskDAGWatchdog:
-    def test_rejects_nonpositive_timeout(self, hmatrix_small):
-        from repro.parallel.taskdag import execute_factorization
-
-        with pytest.raises(ConfigurationError):
-            execute_factorization(hmatrix_small, 0.5, timeout=0.0)
-
-    def test_cyclic_dag_raises_deadlock_not_silence(
-        self, hmatrix_small, monkeypatch
-    ):
-        import repro.parallel.taskdag as taskdag
-
-        cyclic = taskdag.TaskDAG(tasks={
-            1: taskdag.FactorTask(1, level=1, cost=1.0, deps=(2,)),
-            2: taskdag.FactorTask(2, level=1, cost=1.0, deps=(1,)),
-        })
-        monkeypatch.setattr(taskdag, "build_factor_dag", lambda h: cyclic)
-        with pytest.raises(DeadlockError, match="unresolved dependencies"):
-            taskdag.execute_factorization(hmatrix_small, 0.5, timeout=0.3)
-
-    def test_expired_deadline_propagates_into_tasks(self, hmatrix_small):
-        from repro.parallel.taskdag import execute_factorization
-
-        clock = FakeClock()
-        dl = Deadline(1.0, clock=clock)
-        clock.advance(2.0)
-        with deadline_scope(dl):
-            with pytest.raises(DeadlineExceededError):
-                execute_factorization(hmatrix_small, 0.5, timeout=30.0)
 
 
 class TestSPMDPropagation:

@@ -1,9 +1,9 @@
-"""Task-parallel factorization: DAG construction, scheduling, execution."""
+"""Task-parallel factorization model: DAG construction and schedule simulation."""
 
 import numpy as np
 import pytest
 
-from repro.config import SkeletonConfig, SolverConfig, TreeConfig
+from repro.config import SkeletonConfig, TreeConfig
 from repro.exceptions import ConfigurationError
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
@@ -12,10 +12,8 @@ from repro.parallel.taskdag import (
     FactorTask,
     TaskDAG,
     build_factor_dag,
-    execute_factorization,
     simulate_schedule,
 )
-from repro.solvers import factorize
 
 RNG = np.random.default_rng(23)
 
@@ -129,99 +127,3 @@ class TestScheduleSimulation:
         })
         assert simulate_schedule(indep, 4, "task").makespan == pytest.approx(1.0)
         assert simulate_schedule(indep, 2, "task").makespan == pytest.approx(2.0)
-
-
-class TestParallelExecution:
-    def test_matches_serial_factorization(self, dag_problem):
-        h, _ = dag_problem
-        serial = factorize(h, 0.4)
-        parallel = execute_factorization(h, 0.4, n_workers=4)
-        u = RNG.standard_normal(h.n_points)
-        assert np.allclose(parallel.solve(u), serial.solve(u), atol=1e-10)
-        assert parallel.residual(u, parallel.solve(u)) < 1e-10
-
-    def test_hybrid_method_supported(self, dag_problem):
-        h, _ = dag_problem
-        from repro.config import GMRESConfig
-
-        cfg = SolverConfig(method="hybrid", gmres=GMRESConfig(tol=1e-10, max_iters=200))
-        parallel = execute_factorization(h, 0.4, cfg, n_workers=3)
-        u = RNG.standard_normal(h.n_points)
-        w = parallel.solve(u)
-        assert parallel.residual(u, w) < 1e-8
-
-    def test_single_worker(self, dag_problem):
-        h, _ = dag_problem
-        fact = execute_factorization(h, 0.4, n_workers=1)
-        u = RNG.standard_normal(h.n_points)
-        assert fact.residual(u, fact.solve(u)) < 1e-10
-
-    def test_rejects_nlog2n(self, dag_problem):
-        h, _ = dag_problem
-        with pytest.raises(ConfigurationError):
-            execute_factorization(h, 0.4, SolverConfig(method="nlog2n"))
-
-    def test_single_leaf_tree(self):
-        X = RNG.standard_normal((20, 3))
-        h = build_hmatrix(
-            X, GaussianKernel(bandwidth=1.0), tree_config=TreeConfig(leaf_size=32)
-        )
-        fact = execute_factorization(h, 0.5, n_workers=2)
-        u = RNG.standard_normal(20)
-        assert fact.residual(u, fact.solve(u)) < 1e-12
-
-    def test_recovery_ladder_matches_serial(self):
-        """A near-singular problem at lambda = 0: node tasks take the
-        same lambda bumps as the serial factorization, bit for bit, on
-        more workers than cores and with frequent thread switches."""
-        import sys
-        import warnings
-
-        from repro.config import RecoveryConfig
-
-        X = np.random.default_rng(0).standard_normal((256, 3))
-        h = build_hmatrix(
-            X,
-            GaussianKernel(bandwidth=8.0),
-            tree_config=TreeConfig(leaf_size=32),
-            skeleton_config=SkeletonConfig(rank=16),
-        )
-        cfg = SolverConfig(recovery=RecoveryConfig(enabled=True))
-        u = RNG.standard_normal(256)
-        by_node = lambda f: sorted(  # noqa: E731
-            (e["node_id"], e["attempts"]) for e in f.recovery_events
-        )
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                serial = factorize(h, 0.0, cfg)
-                assert serial.recovery_events
-                for _ in range(3):
-                    parallel = execute_factorization(h, 0.0, cfg, n_workers=8)
-                    assert by_node(parallel) == by_node(serial)
-                    assert np.array_equal(parallel.solve(u), serial.solve(u))
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_propagates_task_errors(self, dag_problem):
-        h, _ = dag_problem
-        # negative lambda passes factorize()'s entry check only through
-        # execute_factorization's internals; simulate an error by making
-        # the kernel produce NaN blocks.
-        bad = build_hmatrix(
-            RNG.standard_normal((128, 3)),
-            GaussianKernel(bandwidth=1.0),
-            tree_config=TreeConfig(leaf_size=32, seed=1),
-            skeleton_config=SkeletonConfig(
-                tau=1e-6, max_rank=32, num_samples=64, num_neighbors=0, seed=2
-            ),
-        )
-        # poison a cached leaf block so the LU raises.
-        leaf = bad.tree.leaves()[0]
-        bad.cache.put(
-            (bad._ns, "leaf", leaf.id), np.full((leaf.size, leaf.size), np.nan)
-        )
-        with pytest.raises(Exception):
-            execute_factorization(bad, 0.5, n_workers=2)
