@@ -371,6 +371,7 @@ def _solve_distributed(args, solver, ds, lam, t_fit, ranks) -> int:
     t0 = time.perf_counter()
     w, stats = distributed_solve(dist, u_tree)
     t_solve = time.perf_counter() - t0
+    dist.close()  # the one solve is done: end the ranks that held the factors
     r = lam * w + solver.hmatrix.matvec(w) - u_tree
     residual = float(np.linalg.norm(r) / np.linalg.norm(u_tree))
     print(f"build {t_fit:.2f}s   dist-factorize[{dist.backend},p={dist.n_ranks}] "

@@ -314,7 +314,9 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry into this one.
 
         The socket-backed SPMD launcher ships each rank's registry
-        snapshot back at join and merges it here with an extra ``rank``
+        snapshot back at the end of every program (a rank restarts its
+        registry at the start of one, so the snapshot covers that
+        program only) and merges it here with an extra ``rank``
         label, so per-rank series stay distinguishable while
         :meth:`total` still reports launch-wide sums (the thread
         backend's single shared registry semantics).  Counters add,

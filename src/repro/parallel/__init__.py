@@ -12,7 +12,7 @@ that API, and the fabric's byte/message counters verify the paper's
 O(s^2 log^2 p) communication bound.
 """
 
-from repro.parallel.vmpi import Communicator, CommStats, run_spmd
+from repro.parallel.vmpi import Communicator, CommStats, World, run_spmd
 from repro.parallel.dist_solver import (
     DistributedFactorization,
     distributed_factorize,
@@ -33,6 +33,7 @@ from repro.parallel.taskdag import (
 __all__ = [
     "Communicator",
     "CommStats",
+    "World",
     "run_spmd",
     "DistributedFactorization",
     "distributed_factorize",

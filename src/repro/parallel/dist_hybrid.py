@@ -18,9 +18,11 @@ operators:
 
 GMRES itself runs redundantly on every rank (identical deterministic
 arithmetic on identical reduced vectors), the standard practice for
-small reduced systems.  A ``(N, k)`` panel is one launch running one
+small reduced systems.  A ``(N, k)`` panel is one program running one
 lockstep GMRES (one AllReduce of an ``(S, k)`` block per iteration)
-where ``k`` single solves would be ``k`` launches.  The ranks report
+where ``k`` single solves would be ``k`` programs.  Every program runs
+on the ranks that factorized, which keep their state resident
+(:class:`~repro.parallel.dist_solver._LiveRanks`).  The ranks report
 nothing themselves: rank 0's convergence outcome travels back with its
 piece and the caller warns once per unconverged column, as the serial
 solve does.
@@ -37,7 +39,8 @@ from repro.exceptions import ConfigurationError, ConvergenceWarning
 from repro.hmatrix.hmatrix import HMatrix
 from repro.kernels.summation import KernelSummation, SummationMethod
 from repro.obs import emit_warning
-from repro.parallel.vmpi import CommStats, Communicator, FaultPlan, run_spmd
+from repro.parallel.dist_solver import _LiveRanks
+from repro.parallel.vmpi import CommStats, Communicator, FaultPlan, World
 from repro.solvers.factorization import HierarchicalFactorization
 from repro.solvers.gmres import gmres_unreported
 from repro.solvers.recovery import SolverHealth
@@ -68,8 +71,11 @@ class _HybridRankState:
 
 
 @dataclass
-class DistributedHybrid:
-    """Handle returned by :func:`distributed_hybrid_factorize`."""
+class DistributedHybrid(_LiveRanks):
+    """Handle returned by :func:`distributed_hybrid_factorize`.
+
+    Its ranks keep their states resident until :meth:`close`.
+    """
 
     hmatrix: HMatrix
     lam: float
@@ -153,6 +159,7 @@ def _hybrid_factor_worker(
             norms_a=h.norms.gather(sk.skeleton),
             norms_b=h.norms.node(f),
         )
+    comm.resident["state"] = state
     return state
 
 
@@ -179,11 +186,11 @@ def _apply_what_local(state: _HybridRankState, y: np.ndarray) -> np.ndarray:
 
 
 def _hybrid_solve_worker(
-    comm: Communicator, dist: DistributedHybrid, u: np.ndarray
+    comm: Communicator, u: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[bool, int, float]]]:
     """My piece of the solution and, per column, GMRES's convergence facts
     ``(converged, iterations, final relative residual)``."""
-    state = dist.states[comm.rank]
+    state: _HybridRankState = comm.resident["state"]
     u_mine = u[state.lo : state.hi]
 
     # D^{-1} u on my frontier subtrees (DistSolve's local case).
@@ -202,7 +209,9 @@ def _hybrid_solve_worker(
         w_mine = _apply_what_local(state, y)
         return y + _apply_v_dist(comm, state, w_mine)
 
-    results = gmres_unreported(reduced_matvec, t.reshape(len(t), -1), dist.config.gmres)
+    results = gmres_unreported(
+        reduced_matvec, t.reshape(len(t), -1), state.local.config.gmres
+    )
     y = np.stack([res.x for res in results], axis=1).reshape(t.shape)
     facts = [(res.converged, res.n_iters, res.final_residual) for res in results]
     return x0 - _apply_what_local(state, y), facts
@@ -243,16 +252,9 @@ def distributed_hybrid_factorize(
         raise ConfigurationError(f"n_ranks must be a power of two; got {n_ranks}")
     if n_ranks > (1 << hmatrix.tree.depth):
         raise ConfigurationError("n_ranks exceeds the number of subtrees")
-    states, stats = run_spmd(
-        _hybrid_factor_worker,
-        n_ranks,
-        hmatrix,
-        lam,
-        config,
-        fault_plan=fault_plan,
-        backend=backend,
-        hosts=hosts,
-        heartbeat=heartbeat,
+    world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
+    states, stats = world.run(
+        _hybrid_factor_worker, hmatrix, lam, config, fault_plan=fault_plan
     )
     if backend == "socket":
         # rebind the unpickled per-rank HMatrix copies to the caller's
@@ -261,7 +263,7 @@ def distributed_hybrid_factorize(
             state.local.hmatrix = hmatrix
     health = SolverHealth(final_path="distributed-hybrid")
     health.ingest_comm(stats)
-    return DistributedHybrid(
+    dist = DistributedHybrid(
         hmatrix=hmatrix,
         lam=lam,
         n_ranks=n_ranks,
@@ -271,6 +273,8 @@ def distributed_hybrid_factorize(
         health=health,
         backend=backend,
     )
+    dist._keep(world)
+    return dist
 
 
 def distributed_hybrid_solve(
@@ -282,7 +286,8 @@ def distributed_hybrid_solve(
     """HybridSolve (Algorithm II.6) across the virtual ranks.
 
     ``u`` may be (N,) or (N, k); a panel is one lockstep GMRES solve.
-    ``backend=None`` reuses the backend the factorization ran on.
+    It runs on the ranks that factorized; ``backend=None`` reuses the
+    backend the factorization ran on.
 
     Warns
     -----
@@ -290,13 +295,8 @@ def distributed_hybrid_solve(
         Once per column whose GMRES stopped short of ``config.gmres.tol``.
     """
     u = check_vector(u, dist.hmatrix.n_points)
-    outs, stats = run_spmd(
-        _hybrid_solve_worker,
-        dist.n_ranks,
-        dist,
-        u,
-        fault_plan=fault_plan,
-        backend=backend if backend is not None else dist.backend,
+    outs, stats = dist._run(
+        _hybrid_solve_worker, u, fault_plan=fault_plan, backend=backend
     )
     dist.health.ingest_comm(stats)
     tol = dist.config.gmres.tol

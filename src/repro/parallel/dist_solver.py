@@ -13,12 +13,18 @@ reductions are computed locally on each rank's point slice and reduced
 up the halves — exactly the message pattern of Algorithms II.4/II.5,
 which is what the communication-counter tests measure.
 
+As in the paper, DistSolve runs on the ranks that ran DistFactorize:
+the handle keeps the :class:`~repro.parallel.vmpi.World` its
+factorization ran on, every rank keeps its :class:`_RankState` in its
+resident store, and a solve ships only the right-hand side.
+
 The factorization produced is bit-for-bit the serial one (the tests
 assert agreement with :func:`repro.solvers.factorize` to roundoff).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +33,14 @@ from repro.config import SolverConfig
 from repro.exceptions import ConfigurationError, NotFactorizedError
 from repro.hmatrix.hmatrix import HMatrix
 from repro.kernels.summation import KernelSummation, SummationMethod
-from repro.parallel.vmpi import CommStats, Communicator, FaultPlan, run_spmd
+from repro.parallel.vmpi import (
+    CommStats,
+    Communicator,
+    FaultPlan,
+    World,
+    resolve_backend,
+    run_spmd,
+)
 from repro.solvers.factorization import HierarchicalFactorization
 from repro.solvers.recovery import SolverHealth
 from repro.util import lapack
@@ -74,12 +87,63 @@ class _RankState:
     factor_flops: int = 0
 
 
+class _LiveRanks:
+    """A distributed handle whose rank states stay on the ranks that built them.
+
+    The handle owns the :class:`~repro.parallel.vmpi.World` its
+    factorization ran on, and each rank keeps its state in its resident
+    store (``comm.resident["state"]``).  :meth:`close` ends the ranks;
+    so does garbage collection of the handle, or interpreter exit.  A
+    handle without a live world — unpickled (pickling drops the world),
+    closed, or asked for another backend — runs on a one-program world
+    seeded from ``states``; a rank respawned mid-solve is re-seeded from
+    them too.
+    """
+
+    def _keep(self, world: World) -> None:
+        self._world = world
+        self._close_world = weakref.finalize(self, world.close)
+
+    def close(self) -> None:
+        """End the ranks that hold this handle's states (idempotent)."""
+        closer = self.__dict__.get("_close_world")
+        if closer is not None:
+            closer()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_world", None)
+        state.pop("_close_world", None)
+        return state
+
+    def _run(self, fn, *args, fault_plan=None, backend=None):
+        """``fn(comm, *args)`` on ranks whose store holds their state."""
+        states = self.states
+
+        def residents(rank: int) -> dict:
+            return {"state": states[rank]}
+
+        backend = resolve_backend(backend if backend is not None else self.backend)
+        world = self.__dict__.get("_world")
+        if world is not None and not world.closed and world.backend == backend:
+            return world.run(fn, *args, fault_plan=fault_plan, residents=residents)
+        return run_spmd(
+            fn,
+            self.n_ranks,
+            *args,
+            fault_plan=fault_plan,
+            backend=backend,
+            residents=residents,
+        )
+
+
 @dataclass
-class DistributedFactorization:
+class DistributedFactorization(_LiveRanks):
     """Result of :func:`distributed_factorize`.
 
-    Holds per-rank states; :func:`distributed_solve` re-launches the
-    SPMD ranks against them.  ``factor_stats`` records the fabric
+    Holds a copy of every rank's state; the ranks that computed them
+    keep theirs resident, and :func:`distributed_solve` runs on those
+    ranks (:class:`_LiveRanks`).  ``factor_stats`` records the fabric
     traffic of the factorization (paper: O(s^2 log^2 p) total).
     """
 
@@ -131,6 +195,7 @@ def _factor_worker(
             comm, h, lam, config, checkpoint=checkpoint, resume=resume
         )
     state.factor_flops = rank_counter.flops
+    comm.resident["state"] = state
     return state
 
 
@@ -304,20 +369,15 @@ def _reduced_solve_dist(
     return half_comm.bcast(y_half, root=0)
 
 
-def _solve_worker(
-    comm: Communicator,
-    dist: DistributedFactorization,
-    u: np.ndarray,
-) -> np.ndarray:
+def _solve_worker(comm: Communicator, u: np.ndarray) -> np.ndarray:
     """Algorithm II.5 (recursion unrolled bottom-up over levels)."""
-    state = dist.states[comm.rank]
-    tree = dist.hmatrix.tree
-    n_levels = dist.n_levels
+    state: _RankState = comm.resident["state"]
+    n_levels = int(np.log2(comm.size))
     if n_levels == 0:
         return state.local.solve(u)
 
     comms = _build_comm_chain(comm, n_levels)
-    subtree_root = tree.node(state.subtree_root_id)
+    subtree_root = state.local.hmatrix.tree.node(state.subtree_root_id)
     w = state.local.solve_subtree(subtree_root, u[state.lo : state.hi])
 
     for l in range(n_levels - 1, -1, -1):
@@ -362,7 +422,9 @@ def distributed_factorize(
     ``backend`` selects the vMPI execution backend (``"thread"``,
     ``"socket"``, or ``None`` for ``config.backend``, which itself
     defaults to the ``REPRO_VMPI_BACKEND`` environment).  Both produce
-    bitwise-identical factors; see docs/PARALLELISM.md.
+    bitwise-identical factors; see docs/PARALLELISM.md.  The returned
+    handle keeps the world of ranks that factorized, each holding its
+    state, for :func:`distributed_solve`; ``close()`` ends them.
 
     ``elastic=True`` arms **repartitioning**: every rank checkpoints its
     subtree factors at the local/distributed boundary, and when a rank
@@ -376,7 +438,7 @@ def distributed_factorize(
     socket-backend knobs (see :func:`repro.parallel.vmpi.run_spmd`).
     """
     from repro.exceptions import RankLostError
-    from repro.parallel.vmpi import resolve_backend
+
     config = config or SolverConfig()
     backend = resolve_backend(backend if backend is not None else config.backend)
     if config.method not in ("nlogn", "direct"):
@@ -397,18 +459,17 @@ def distributed_factorize(
     lost_stats: list[CommStats] = []
     repartition_events: list[dict] = []
     while True:
+        # a failed program closes its world, so no rank outlives a
+        # repartition or an error.
+        world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
         try:
-            states, stats = run_spmd(
+            states, stats = world.run(
                 _factor_worker,
-                n_ranks,
                 hmatrix,
                 lam,
                 config,
                 fault_plan=fault_plan,
-                backend=backend,
                 elastic=elastic,
-                hosts=hosts,
-                heartbeat=heartbeat,
                 max_respawns=max_respawns,
                 checkpoint=elastic,
                 resume=resume,
@@ -465,7 +526,7 @@ def distributed_factorize(
         for state in states:
             state.local.hmatrix = hmatrix
     health.ingest_comm(stats)
-    return DistributedFactorization(
+    dist = DistributedFactorization(
         hmatrix=hmatrix,
         lam=lam,
         n_ranks=n_ranks,
@@ -475,6 +536,8 @@ def distributed_factorize(
         health=health,
         backend=backend,
     )
+    dist._keep(world)
+    return dist
 
 
 def distributed_solve(
@@ -487,20 +550,15 @@ def distributed_solve(
 
     ``u`` is in tree order; returns ``(w, comm_stats)`` where the stats
     cover this solve's traffic only (paper: O(s log^2 p) per RHS).
-    Faults observed under a ``fault_plan`` are also appended to
-    ``dist.health``.  ``backend=None`` reuses the backend the
-    factorization ran on (``dist.backend``).
+    The solve runs on the ranks that factorized, which ship back only
+    their pieces of ``w``.  Faults observed under a ``fault_plan`` are
+    also appended to ``dist.health``.  ``backend=None`` reuses the
+    backend the factorization ran on (``dist.backend``); another
+    backend runs on a one-program world seeded from ``dist.states``.
     """
     if not dist.states:
         raise NotFactorizedError("distributed factorization has no rank states")
     u = check_vector(u, dist.hmatrix.n_points)
-    pieces, stats = run_spmd(
-        _solve_worker,
-        dist.n_ranks,
-        dist,
-        u,
-        fault_plan=fault_plan,
-        backend=backend if backend is not None else dist.backend,
-    )
+    pieces, stats = dist._run(_solve_worker, u, fault_plan=fault_plan, backend=backend)
     dist.health.ingest_comm(stats)
     return np.concatenate(pieces, axis=0), stats

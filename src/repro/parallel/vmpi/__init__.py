@@ -5,7 +5,8 @@ over a shared logged-mailbox fabric (default, debuggable), or spawned
 worker processes over TCP with shared-memory payload transport,
 heartbeat failure detection and elastic membership
 (``run_spmd(..., backend="socket")``, true multi-core; see
-docs/PARALLELISM.md).  The fabric routes tagged messages between
+docs/PARALLELISM.md).  A :class:`World` keeps its ranks, and each
+rank's resident store, across programs.  The fabric routes tagged messages between
 (communicator, source, dest) mailboxes.
 Collectives (bcast/reduce/allreduce/gather/allgather/barrier) are
 implemented as binomial trees over point-to-point messages, so the
@@ -29,7 +30,7 @@ from repro.parallel.vmpi.membership import (
     HeartbeatConfig,
     Membership,
 )
-from repro.parallel.vmpi.runtime import BACKENDS, resolve_backend, run_spmd
+from repro.parallel.vmpi.runtime import BACKENDS, World, resolve_backend, run_spmd
 
 __all__ = [
     "Fabric",
@@ -38,6 +39,7 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "plan_from_env",
+    "World",
     "run_spmd",
     "resolve_backend",
     "BACKENDS",

@@ -37,7 +37,11 @@ class Communicator:
     """A group of virtual ranks with p2p and collective operations.
 
     Do not construct directly — use :func:`repro.parallel.vmpi.run_spmd`
-    (which hands each rank the world communicator) and :meth:`split`.
+    or :meth:`repro.parallel.vmpi.World.run` (which hand each rank the
+    world communicator) and :meth:`split`.
+
+    ``resident`` is this rank's store on its world: a dict that outlives
+    the program (a sub-communicator shares its parent's).
     """
 
     def __init__(
@@ -46,12 +50,14 @@ class Communicator:
         key: str,
         rank: int,
         world_ranks: list[int],
+        resident: dict | None = None,
     ) -> None:
         self._fabric = fabric
         self._key = key
         self._rank = rank
         self._world_ranks = world_ranks
         self._split_epoch = 0
+        self.resident = resident if resident is not None else {}
 
     # ------------------------------------------------------------------
     @property
@@ -217,6 +223,7 @@ class Communicator:
             new_key,
             new_rank,
             [self._world_ranks[r] for r in ranks_in_group],
+            resident=self.resident,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,17 +10,26 @@ over the wire when its assigned host is remote, so a single code path
 covers both the multi-core-one-box and the multi-box deployment
 shapes.
 
+A :class:`SocketRanks` is the supervisor of one *world*: its rank
+processes are spawned once and then run SPMD programs one after
+another, each holding a per-rank resident store (a dict) that outlives
+the program.  Every program gets a fresh message log, fresh cursors and
+its own fault plan; a rank process exits when its supervisor link
+closes (:meth:`SocketRanks.close`).
+
 Topology::
 
     rank process --TCP frames--> supervisor
-        ("hello", rank, generation)     registration / replay trigger
-        ("post", key..., envelope)      data plane (logged + routed)
-        ("ckpt", rank, tag, payload)    control plane (latest kept)
-        ("hb", rank)                    heartbeat
-        ("status", rank, ...)           terminal report
+        ("hello", rank, generation)           registration / replay trigger
+        ("post", prog, key..., envelope)      data plane (logged + routed)
+        ("ckpt", prog, rank, tag, payload)    control plane (latest kept)
+        ("hb", rank)                          heartbeat
+        ("status", prog, rank, ...)           end of one program
     supervisor --TCP frames--> rank process
-        ("msg", key, envelope)          routed delivery
-        ("abort", err)                  peer failed; unwind
+        ("seed", envelope)                    residents of a fresh process
+        ("run", prog, envelope, ...)          start one program
+        ("msg", prog, key, envelope)          routed delivery
+        ("abort", prog, err)                  peer failed; unwind
 
 The supervisor keeps the same pessimistic message log as the thread
 fabric (append every post, forward to the destination's connection,
@@ -28,7 +37,8 @@ sender-side dedup on replay), so the seeded
 :class:`~repro.parallel.vmpi.faults.FaultPlan` classifies identical
 ``(key, seq, attempt)`` tuples and chaos schedules are *identical*
 across thread/socket — the backend-parity suite asserts bitwise-equal
-results, faults included.
+results, faults included.  A program's log segments are freed when the
+program ends.
 
 On top of that sits an **elastic membership layer**
 (:mod:`repro.parallel.vmpi.membership`):
@@ -36,20 +46,23 @@ On top of that sits an **elastic membership layer**
 * every rank heartbeats; a supervisor-side failure detector promotes
   silence to *suspected* and then *confirmed dead* — catching hangs
   and partitions that never report a crash (exit codes alone cannot);
-* a confirmed death first tries the usual log-replay respawn; when the
-  respawn budget is exhausted and the launch is *elastic*, the rank is
-  declared permanently lost: the membership epoch is bumped, frames
-  from the dead generation are rejected as stale (zombie protection),
-  survivors are unwound, and :class:`~repro.exceptions.RankLostError`
-  carries the survivors' latest control-plane checkpoints out to the
-  caller — which repartitions the lost subtree onto the survivors and
-  resumes from checkpointed state instead of replaying the world
-  (see ``distributed_factorize(elastic=True)``).
+* a confirmed death first tries the usual log-replay respawn (the
+  replacement process is re-seeded with the program's ``residents``);
+  when the respawn budget is exhausted and the program is *elastic*,
+  the rank is declared permanently lost: the membership epoch is
+  bumped, frames from the dead generation are rejected as stale (zombie
+  protection), survivors are unwound, and
+  :class:`~repro.exceptions.RankLostError` carries the survivors'
+  latest control-plane checkpoints out to the caller — which
+  repartitions the lost subtree onto the survivors and resumes from
+  checkpointed state instead of replaying the world (see
+  ``distributed_factorize(elastic=True)``).
 
 TCP ordering is load-bearing: one connection per rank means a rank's
 status frame is ordered after every post it made, so replay arming
-needs no extra barrier, and a survivor's checkpoint is always routed
-before its terminal status.
+needs no extra barrier, a survivor's checkpoint is always routed
+before its terminal status, and a program's ``run`` frame reaches a
+rank before any message of that program.
 
 Remote hosts: ``hosts=[...]`` (or ``REPRO_VMPI_HOSTS``) assigns ranks
 round-robin.  Workers are always *spawned* locally (``"spawn"`` start
@@ -61,10 +74,12 @@ envelopes, nothing through shared memory.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue
 import socket
 import struct
+import sys
 import threading
 import time
 from collections import defaultdict, deque
@@ -91,7 +106,7 @@ from repro.parallel.vmpi.membership import (
     port_from_env,
 )
 
-__all__ = ["SocketRankFabric", "run_spmd_sockets"]
+__all__ = ["SocketRankFabric", "SocketRanks"]
 
 _HDR = struct.Struct("!Q")
 
@@ -109,6 +124,9 @@ _DEATH_GRACE = 1.0
 
 #: how long ranks get to notice an abort before being terminated.
 _ABORT_GRACE = 15.0
+
+#: how long ranks get to exit on their own after their link closes.
+_CLOSE_GRACE = 2.0
 
 #: hostnames that resolve to the supervisor's own machine.
 _LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "::1"})
@@ -159,7 +177,7 @@ class _FrameReader:
 
 
 class SocketRankFabric:
-    """Rank-process side of the fabric over one TCP connection.
+    """Rank-process side of the fabric for one program.
 
     Implements the interface :class:`Communicator` needs (``post`` /
     ``wait`` / ``retry_policy`` / ``fault_plan`` / ``stats``): posts are
@@ -168,14 +186,17 @@ class SocketRankFabric:
     classification are rank-local — ``FaultPlan.decide`` is a pure
     hash, so the chaos schedule matches the thread fabric exactly.  A
     respawned rank starts with zeroed cursors and the supervisor
-    redelivers its full receive history.
+    redelivers its full receive history.  Frames of an earlier program
+    are skipped unread: that program's log owns their segments.
     """
 
     def __init__(
         self,
         world_rank: int,
+        prog: int,
         sock: socket.socket,
         write_lock: threading.Lock,
+        reader: _FrameReader,
         timeout: float,
         fault_plan: FaultPlan | None,
         inline_only: bool = False,
@@ -184,9 +205,10 @@ class SocketRankFabric:
         self.timeout = timeout
         self.stats = CommStats()
         self._rank = world_rank
+        self._prog = prog
         self._sock = sock
         self._wlock = write_lock
-        self._reader = _FrameReader(sock)
+        self._reader = reader
         self._threshold = _INLINE if inline_only else None
         self._pending: dict[tuple, deque] = defaultdict(deque)
         self._consumed: dict[tuple, int] = defaultdict(int)
@@ -221,6 +243,7 @@ class SocketRankFabric:
             self._wlock,
             (
                 "post",
+                self._prog,
                 comm_key,
                 src,
                 dst,
@@ -239,7 +262,9 @@ class SocketRankFabric:
         the rank that posted it.  Uncounted and unlogged, like the
         thread fabric's — cannot perturb chaos schedules or parity.
         """
-        _send_frame(self._sock, self._wlock, ("ckpt", world_rank, tag, payload))
+        _send_frame(
+            self._sock, self._wlock, ("ckpt", self._prog, world_rank, tag, payload)
+        )
 
     def wait(self, comm_key: str, src: int, dst: int, tag: int):
         """One delivery attempt — the mirror of ``Fabric.wait``."""
@@ -259,12 +284,12 @@ class SocketRankFabric:
                 frame = self._reader.read(min(remaining, 0.5))
             except ConnectionError as exc:
                 raise DeadlockError(f"lost the supervisor link: {exc}") from exc
-            if frame is None:
+            if frame is None or frame[1] != self._prog:
                 continue
             if frame[0] == "abort":
-                self._aborted = frame[1]
+                self._aborted = frame[2]
                 continue
-            _, mkey, env = frame
+            _, _prog, mkey, env = frame
             self._pending[mkey].append(env)
         seq = self._consumed[key]
         delay = 0.0
@@ -290,31 +315,32 @@ class SocketRankFabric:
         return shm.unpack(env)
 
 
-def _socket_worker_main(
+def _socket_rank_main(
     world_rank: int,
     generation: int,
     n_ranks: int,
     addr: tuple,
-    prog_env: dict,
-    timeout: float,
-    fault_plan: FaultPlan | None,
-    disarm_crash: bool,
-    deadline_s: float | None,
     hb_interval: float,
     inline_only: bool,
 ) -> None:
-    """Rank-process entry point (module-level: spawn must pickle it)."""
+    """Rank-process entry point (module-level: spawn must pickle it).
+
+    Registers, then runs each program the supervisor sends until the
+    link closes.  The resident store lives as long as the process.
+    """
     from repro.exceptions import RankCrashError, RankHangError
     from repro.obs.metrics import registry
+    from repro.perf import default_cache
     from repro.resilience.deadline import Deadline, deadline_scope
     from repro.util.flops import FlopCounter
 
-    if fault_plan is not None and disarm_crash:
-        fault_plan.disarm_crash()
-    sock = socket.create_connection(addr, timeout=30.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     wlock = threading.Lock()
-    _send_frame(sock, wlock, ("hello", world_rank, generation))
+    try:
+        sock = socket.create_connection(addr, timeout=30.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        _send_frame(sock, wlock, ("hello", world_rank, generation))
+    except OSError:
+        return  # the world closed before this rank came up
 
     hb_stop = threading.Event()
 
@@ -325,75 +351,106 @@ def _socket_worker_main(
             except OSError:
                 return
 
-    hb_thread = threading.Thread(
-        target=_beat, name=f"vmpi-hb-{world_rank}", daemon=True
-    )
-    hb_thread.start()
+    threading.Thread(target=_beat, name=f"vmpi-hb-{world_rank}", daemon=True).start()
+    reader = _FrameReader(sock)
+    resident: dict = {}
 
-    fabric = SocketRankFabric(
-        world_rank, sock, wlock, timeout, fault_plan, inline_only=inline_only
-    )
-    counter = FlopCounter()
-    status, err, result_env, hung = "ok", None, None, False
-    try:
-        fn, args, kwargs = shm.unpack(prog_env)
-        comm = Communicator(fabric, "world", world_rank, list(range(n_ranks)))
-        dl = Deadline(deadline_s) if deadline_s is not None else None
-        counter.attach()
+    def run_program(frame) -> bool:
+        """Run one program and report it; False ends the process.
+
+        A crashed rank exits (its replacement is a new process); a hung
+        one goes silent, wakes as a zombie and exits.  Telemetry covers
+        this program only: the registry and the block-cache counters
+        restart here, so the supervisor never re-counts an earlier one.
+        """
+        _, prog, prog_env, timeout, fault_plan, disarm_crash, deadline_s = frame
+        if fault_plan is not None and disarm_crash:
+            fault_plan.disarm_crash()
+        registry().reset()
+        default_cache().reset_stats()
+        fabric = SocketRankFabric(
+            world_rank, prog, sock, wlock, reader, timeout, fault_plan,
+            inline_only=inline_only,
+        )
+        counter = FlopCounter()
+        status, err, result_env, hung = "ok", None, None, False
         try:
-            with deadline_scope(dl):
-                result = fn(comm, *args, **kwargs)
-        finally:
-            counter.detach()
-        result_env = fabric._pack(result)
-    except RankCrashError as exc:
-        status, err = "crashed", repr(exc)
-    except RankHangError as exc:
-        # A hang is reported to NOBODY: stop beating, go silent, and
-        # (if the plan says so) wake up later as a zombie whose frames
-        # the supervisor must reject as stale.
-        hung = True
-        status, err = "failed", repr(exc)
-    except BaseException as exc:  # noqa: BLE001 - reported to supervisor
-        status, err = "failed", repr(exc)
-    telemetry = {
-        "stats": fabric.stats,
-        "metrics": registry().snapshot(),
-        "flops": {
-            "flops": counter.flops,
-            "mops": counter.mops,
-            "kernel_evals": counter.kernel_evals,
-            "by_label": dict(counter.by_label),
-        },
-    }
-    if hung:
-        hb_stop.set()
-        wedge = fault_plan.hang_seconds if fault_plan is not None else 3600.0
-        time.sleep(wedge)
+            fn, args, kwargs = shm.unpack(prog_env)
+            comm = Communicator(
+                fabric, "world", world_rank, list(range(n_ranks)), resident=resident
+            )
+            dl = Deadline(deadline_s) if deadline_s is not None else None
+            counter.attach()
+            try:
+                with deadline_scope(dl):
+                    result = fn(comm, *args, **kwargs)
+            finally:
+                counter.detach()
+            result_env = fabric._pack(result)
+        except RankCrashError as exc:
+            status, err = "crashed", repr(exc)
+        except RankHangError as exc:
+            # A hang is reported to NOBODY: stop beating, go silent, and
+            # (if the plan says so) wake up later as a zombie whose frames
+            # the supervisor must reject as stale.
+            hung = True
+            status, err = "failed", repr(exc)
+        except BaseException as exc:  # noqa: BLE001 - reported to supervisor
+            status, err = "failed", repr(exc)
+        telemetry = {
+            "stats": fabric.stats,
+            "metrics": registry().snapshot(),
+            "flops": {
+                "flops": counter.flops,
+                "mops": counter.mops,
+                "kernel_evals": counter.kernel_evals,
+                "by_label": dict(counter.by_label),
+            },
+        }
+        if hung:
+            hb_stop.set()
+            wedge = fault_plan.hang_seconds if fault_plan is not None else 3600.0
+            time.sleep(wedge)
+            try:
+                # the zombie probe: by now the supervisor has (or should
+                # have) retired this generation — these must be rejected.
+                _send_frame(sock, wlock, ("hb", world_rank))
+                _send_frame(
+                    sock,
+                    wlock,
+                    ("status", prog, world_rank, status, err, None, telemetry),
+                )
+            except OSError:
+                pass
+            return False
+        # same-connection FIFO orders this after every post we made, so the
+        # supervisor needs no extra barrier before arming replay.
         try:
-            # the zombie probe: by now the supervisor has (or should
-            # have) retired this generation — these must be rejected.
-            _send_frame(sock, wlock, ("hb", world_rank))
             _send_frame(
                 sock,
                 wlock,
-                ("status", world_rank, status, err, None, telemetry),
+                ("status", prog, world_rank, status, err, result_env, telemetry),
             )
         except OSError:
-            pass
-        return
-    hb_stop.set()
-    # same-connection FIFO orders this after every post we made, so the
-    # supervisor needs no extra barrier before arming replay.
-    try:
-        _send_frame(
-            sock,
-            wlock,
-            ("status", world_rank, status, err, result_env, telemetry),
-        )
-    except OSError:
-        if result_env is not None:
-            shm.free(result_env)
+            if result_env is not None:
+                shm.free(result_env)
+            return False
+        return status != "crashed"
+
+    while True:
+        try:
+            frame = reader.read(None)
+        except ConnectionError:
+            # the world closed (or its supervisor died).  Skip interpreter
+            # teardown: nothing here needs it, and close() waits for us.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(0)
+        if frame[0] == "seed":
+            resident.update(shm.unpack(frame[1]))
+        elif frame[0] == "run" and not run_program(frame):
+            return
+        # anything else is a leftover of an earlier program: skip it.
 
 
 class _Conn:
@@ -433,25 +490,72 @@ class _Conn:
     def close(self) -> None:
         self.outbox.put(None)
 
+    def hang_up(self) -> None:
+        """Close the link now: the rank sees EOF whatever the writer is doing."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.close()
 
-def run_spmd_sockets(
-    fn,
-    n_ranks: int,
-    *args,
-    timeout: float = 120.0,
-    fault_plan: FaultPlan | None = None,
-    max_respawns: int = 2,
-    elastic: bool = False,
-    hosts: list[str] | None = None,
-    heartbeat: HeartbeatConfig | None = None,
-    **kwargs,
-):
-    """Socket-backend twin of :func:`repro.parallel.vmpi.run_spmd`.
 
-    Same contract as the thread backend — returns ``(results, stats)``,
-    raises ``RuntimeError("virtual rank r failed: ...")`` on rank
-    failure, recovers injected crashes by respawn-with-replay — plus
-    the elastic extras:
+class _Program:
+    """Router state of one program: its log, checkpoints, stats and seeds."""
+
+    def __init__(self, pid, env, env_inline, timeout, fault_plan, deadline_s, hb):
+        self.id = pid
+        self.env = env
+        self.env_inline = env_inline
+        self.timeout = timeout
+        self.fault_plan = fault_plan
+        self.deadline_s = deadline_s
+        self.logs: dict[tuple, list] = defaultdict(list)
+        self.key_world: dict[tuple, tuple[int, int]] = {}
+        self.suppress: dict[tuple, int] = defaultdict(int)
+        self.checkpoints: dict[int, object] = {}
+        self.stats = CommStats()
+        #: status reports, ``(rank, status, err, result_env, telemetry)``.
+        self.statuses: "queue.Queue" = queue.Queue()
+        #: residents envelope per rank still to be seeded.
+        self.seeds: dict[int, dict] = {}
+        #: every seed envelope packed for this program (freed at its end).
+        self.seed_envs: list[dict] = []
+        #: ranks respawned during this program (their crash is disarmed).
+        self.respawned: set[int] = set()
+        self.detector = FailureDetector(hb, [])
+        self.detector_lock = threading.Lock()
+
+    def beat(self, rank: int) -> None:
+        with self.detector_lock:
+            self.detector.beat(rank)
+
+    def free(self) -> None:
+        """Release the program's segments: unread results, log, envelopes."""
+        while True:
+            try:
+                report = self.statuses.get_nowait()
+            except queue.Empty:
+                break
+            if report[3] is not None:
+                shm.free(report[3])
+        for envs in self.logs.values():
+            for env in envs:
+                shm.free(env)
+        self.logs.clear()
+        for env in (self.env, self.env_inline, *self.seed_envs):
+            if env is not None:
+                shm.free(env)
+
+
+class SocketRanks:
+    """Supervisor of one socket world: spawned ranks that run programs.
+
+    The socket launcher behind :class:`repro.parallel.vmpi.World`.  The
+    first program spawns one process per rank; they serve every later
+    program until :meth:`close`.  ``run`` keeps the ``run_spmd`` contract — returns ``(results,
+    stats)``, raises ``RuntimeError("virtual rank r failed: ...")`` on
+    rank failure, recovers injected crashes by respawn-with-replay —
+    plus the elastic extras:
 
     * ``elastic=True``: a rank that is permanently lost (crash with the
       respawn budget exhausted, or a heartbeat-confirmed hang) raises
@@ -463,128 +567,161 @@ def run_spmd_sockets(
     * ``heartbeat``: failure-detector timing (default: the
       ``REPRO_VMPI_HB_*`` environment knobs).
     """
-    from repro.obs.metrics import registry
-    from repro.resilience.deadline import current_deadline
-    from repro.util.flops import current_counter
 
-    ctx = mp.get_context("spawn")
-    hb = heartbeat if heartbeat is not None else heartbeat_config_from_env()
-    if hosts is None:
-        hosts = hosts_from_env()
-    dl = current_deadline()
-    deadline_s = None
-    if dl is not None and dl.seconds is not None:
-        deadline_s = dl.remaining()
-        timeout = min(timeout, deadline_s + 5.0)
-
-    def host_of(rank: int) -> str | None:
-        if not hosts:
-            return None
-        return hosts[rank % len(hosts)]
-
-    def is_remote(rank: int) -> bool:
-        h = host_of(rank)
-        return h is not None and not _is_local_host(h)
-
-    any_remote = any(is_remote(r) for r in range(n_ranks))
-    try:
-        prog_env = shm.pack((fn, args, kwargs))
-        prog_env_inline = (
-            shm.pack((fn, args, kwargs), threshold=_INLINE) if any_remote else None
+    def __init__(
+        self,
+        n_ranks: int,
+        hosts: list[str] | None = None,
+        heartbeat: HeartbeatConfig | None = None,
+    ) -> None:
+        self.n_ranks = n_ranks
+        self.closed = False
+        self._ctx = mp.get_context("spawn")
+        self._hb = heartbeat if heartbeat is not None else heartbeat_config_from_env()
+        if hosts is None:
+            hosts = hosts_from_env()
+        self._remote = [
+            bool(hosts) and not _is_local_host(hosts[r % len(hosts)])
+            for r in range(n_ranks)
+        ]
+        # the supervisor binds loopback: workers are spawned locally even
+        # when assigned a remote host (no launcher agent in this repo) —
+        # remote assignment changes the transport shape, not the placement.
+        self._lsock = socket.create_server(
+            ("127.0.0.1", port_from_env()), backlog=2 * n_ranks
         )
-    except Exception as exc:
-        raise ConfigurationError(
-            "the socket backend must pickle the SPMD function and its "
-            "arguments for spawned ranks; use a module-level function "
-            f"(closures/lambdas cannot cross processes): {exc!r}"
-        ) from exc
+        self._addr = self._lsock.getsockname()
+        self._lock = threading.Lock()  # router state: conns, the program
+        self._membership = Membership(list(range(n_ranks)))
+        self._conns: dict[int, _Conn] = {}
+        self._procs: list = [None] * n_ranks
+        #: replaced rank processes, reaped at close.
+        self._retired: list = []
+        #: ranks whose process has not started a program yet.
+        self._fresh = [True] * n_ranks
+        self._prog: _Program | None = None
+        self._n_programs = 0
+        self._accept_stop = threading.Event()
+        threading.Thread(
+            target=self._accept_loop, name="vmpi-sock-accept", daemon=True
+        ).start()
 
-    # the supervisor binds loopback: workers are spawned locally even
-    # when assigned a remote host (no launcher agent in this repo) —
-    # remote assignment changes the transport shape, not the placement.
-    lsock = socket.create_server(("127.0.0.1", port_from_env()), backlog=2 * n_ranks)
-    addr = lsock.getsockname()
+    # -- processes and connections --------------------------------------
+    def _spawn(self, rank: int, generation: int) -> None:
+        name = (
+            f"vmpi-sock-rank-{rank}"
+            if generation == 0
+            else f"vmpi-sock-rank-{rank}-adopted-by-{rank ^ 1}-gen{generation}"
+        )
+        p = self._ctx.Process(
+            target=_socket_rank_main,
+            args=(
+                rank,
+                generation,
+                self.n_ranks,
+                self._addr,
+                self._hb.interval,
+                self._remote[rank],
+            ),
+            name=name,
+            daemon=True,
+        )
+        p.start()
+        if self._procs[rank] is not None:
+            self._retired.append(self._procs[rank])
+        self._procs[rank] = p
+        self._fresh[rank] = True
 
-    # -- supervisor-side router state ---------------------------------
-    router_lock = threading.Lock()
-    logs: dict[tuple, list] = defaultdict(list)
-    key_world: dict[tuple, tuple[int, int]] = {}
-    suppress: dict[tuple, int] = defaultdict(int)
-    checkpoints: dict[int, object] = {}
-    conns: dict[int, _Conn] = {}
-    stats = CommStats()
-    membership = Membership(list(range(n_ranks)))
-    detector = FailureDetector(hb, [])
-    detector_lock = threading.Lock()
-    events: "queue.Queue" = queue.Queue()
-    accept_stop = threading.Event()
+    def _start(self, prog: _Program, rank: int, conn: _Conn) -> None:
+        """Hand ``rank`` the program (caller holds the router lock).
 
-    procs: list = [None] * n_ranks
-    finished = [False] * n_ranks
-    results: list = [None] * n_ranks
-    errors: list[tuple[int, str]] = []
-    respawn_counts = [0] * n_ranks
-    recoveries: list[dict] = []
-    telemetries: list[tuple[int, dict]] = []
-    suspect_since: dict[int, float] = {}
-    abort_deadline: float | None = None
-    lost_rank: int | None = None
-    lost_epoch = 0
+        A fresh process gets its residents first; then the ``run``
+        frame; then everything logged for the rank so far, in log order
+        and before any new forward — a respawn's full receive history,
+        or the posts peers made before this rank connected.
+        """
+        if self._fresh[rank] and rank in prog.seeds:
+            conn.send(("seed", prog.seeds.pop(rank)))
+        self._fresh[rank] = False
+        env = prog.env_inline if self._remote[rank] else prog.env
+        conn.send(
+            (
+                "run",
+                prog.id,
+                env,
+                prog.timeout,
+                prog.fault_plan,
+                rank in prog.respawned,
+                prog.deadline_s,
+            )
+        )
+        for key, (_sw, dw) in prog.key_world.items():
+            if dw == rank:
+                for msg in prog.logs[key]:
+                    conn.send(("msg", prog.id, key, msg))
 
-    def _route(frame) -> None:
-        _, comm_key, src, dst, tag, sw, dw, env, nbytes = frame
+    def _route(self, prog: _Program, frame) -> None:
+        """Log and forward one post (caller holds the router lock)."""
+        _, _pid, comm_key, src, dst, tag, sw, dw, env, nbytes = frame
         key = (comm_key, src, dst, tag)
-        with router_lock:
-            key_world.setdefault(key, (sw, dw))
-            if suppress[key] > 0:
-                suppress[key] -= 1
-                stats.record_fault("duplicates_suppressed", rank=sw)
-                shm.free(env)
-                return
-            logs[key].append(env)
-            stats.record(sw, dw, nbytes)
-            conn = conns.get(dw)
-            if conn is not None:
-                conn.send(("msg", key, env))
-            # conn is None until the rank (or its respawn) connects:
-            # the message is logged, and hello-time replay delivers it
-            # in order.
+        prog.key_world.setdefault(key, (sw, dw))
+        if prog.suppress[key] > 0:
+            prog.suppress[key] -= 1
+            prog.stats.record_fault("duplicates_suppressed", rank=sw)
+            shm.free(env)
+            return
+        prog.logs[key].append(env)
+        prog.stats.record(sw, dw, nbytes)
+        conn = self._conns.get(dw)
+        if conn is not None:
+            conn.send(("msg", prog.id, key, env))
+        # conn is None until the rank (or its respawn) connects: the
+        # message is logged, and hello-time replay delivers it in order.
 
-    def _read_loop(conn: _Conn) -> None:
+    def _read_loop(self, conn: _Conn) -> None:
         while True:
             try:
                 frame = conn.reader.read(None)
             except ConnectionError:
-                with router_lock:
-                    if conns.get(conn.rank) is conn:
-                        conns.pop(conn.rank, None)
-                events.put(("conn_lost", conn.rank, conn.gen))
+                with self._lock:
+                    if self._conns.get(conn.rank) is conn:
+                        del self._conns[conn.rank]
+                # beats stop with the connection; the heartbeat detector
+                # (or the exitcode poll) owns the verdict.
                 return
             kind = frame[0]
-            with router_lock:
-                stale = membership.is_stale(conn.rank, conn.gen)
-            if stale:
-                stats.record_fault("stale_rejected", rank=conn.rank)
+            live = True
+            with self._lock:
+                prog = self._prog
+                if self._membership.is_stale(conn.rank, conn.gen):
+                    if prog is not None:
+                        prog.stats.record_fault("stale_rejected", rank=conn.rank)
+                    live = False
+                elif kind != "hb" and (prog is None or frame[1] != prog.id):
+                    live = False  # a frame of an earlier program
+                elif kind == "post":
+                    self._route(prog, frame)
+                elif kind == "ckpt":
+                    prog.checkpoints[frame[2]] = frame[4]
+                elif kind == "status":
+                    prog.statuses.put(tuple(frame[2:]))
+            if not live:
+                # dropped: free the segments the frame handed over.
                 if kind == "post":
-                    shm.free(frame[7])
+                    shm.free(frame[8])
+                elif kind == "status" and frame[5] is not None:
+                    shm.free(frame[5])
                 continue
-            # any frame from a live generation proves liveness.
-            with detector_lock:
-                detector.beat(conn.rank)
-            if kind == "hb":
-                stats.record_fault("heartbeats")
-            elif kind == "post":
-                _route(frame)
-            elif kind == "ckpt":
-                _, rank, _tag, payload = frame
-                with router_lock:
-                    checkpoints[rank] = payload
-            elif kind == "status":
-                events.put(("status",) + tuple(frame[1:]))
+            if prog is not None:
+                # any frame from a live generation proves liveness.
+                prog.beat(conn.rank)
+                if kind == "hb":
+                    prog.stats.record_fault("heartbeats")
 
-    def _accept_loop() -> None:
+    def _accept_loop(self) -> None:
+        lsock = self._lsock
         lsock.settimeout(0.2)
-        while not accept_stop.is_set():
+        while not self._accept_stop.is_set():
             try:
                 s, _peer = lsock.accept()
             except socket.timeout:
@@ -603,282 +740,330 @@ def run_spmd_sockets(
                 continue
             _, rank, gen = hello
             conn = _Conn(s, reader, rank, gen)
-            with router_lock:
-                if membership.is_stale(rank, gen) or gen != membership.generation(rank):
+            with self._lock:
+                m = self._membership
+                if self.closed or m.is_stale(rank, gen) or gen != m.generation(rank):
                     # a zombie reconnect from a retired generation.
-                    stats.record_fault("stale_rejected", rank=rank)
+                    if self._prog is not None:
+                        self._prog.stats.record_fault("stale_rejected", rank=rank)
                     conn.close()
                     continue
-                conns[rank] = conn
-                # deliver everything logged for this rank so far, in log
-                # order, before any new forwards (same lock): a respawn's
-                # full receive history, or — first generation — the
-                # posts peers made before this rank connected.
-                for key, (_sw, dw) in key_world.items():
-                    if dw == rank:
-                        for env in logs[key]:
-                            conn.send(("msg", key, env))
-            with detector_lock:
-                detector.resurrect(rank)
+                self._conns[rank] = conn
+                prog = self._prog
+                if prog is not None:
+                    self._start(prog, rank, conn)
+            if prog is not None:
+                with prog.detector_lock:
+                    prog.detector.resurrect(rank)
             threading.Thread(
-                target=_read_loop,
+                target=self._read_loop,
                 args=(conn,),
                 name=f"vmpi-sock-rx-{rank}",
                 daemon=True,
             ).start()
 
-    def spawn(rank: int, generation: int) -> None:
-        name = (
-            f"vmpi-sock-rank-{rank}"
-            if generation == 0
-            else f"vmpi-sock-rank-{rank}-adopted-by-{rank ^ 1}-gen{generation}"
+    # -- one program ------------------------------------------------------
+    def run(
+        self,
+        fn,
+        args: tuple,
+        kwargs: dict,
+        *,
+        timeout: float,
+        fault_plan: FaultPlan | None,
+        max_respawns: int,
+        elastic: bool,
+        residents,
+    ):
+        """Run ``fn(comm, *args, **kwargs)`` once on every rank."""
+        from repro.obs.metrics import registry
+        from repro.resilience.deadline import current_deadline
+        from repro.util.flops import current_counter
+
+        n_ranks = self.n_ranks
+        dl = current_deadline()
+        deadline_s = None
+        if dl is not None and dl.seconds is not None:
+            deadline_s = dl.remaining()
+            timeout = min(timeout, deadline_s + 5.0)
+        try:
+            env = shm.pack((fn, args, kwargs))
+        except Exception as exc:
+            raise ConfigurationError(
+                "the socket backend must pickle the SPMD function and its "
+                "arguments for spawned ranks; use a module-level function "
+                f"(closures/lambdas cannot cross processes): {exc!r}"
+            ) from exc
+        env_inline = None
+        if any(self._remote):
+            env_inline = shm.pack((fn, args, kwargs), threshold=_INLINE)
+        first = self._n_programs == 0
+        self._n_programs += 1
+        prog = _Program(
+            self._n_programs, env, env_inline, timeout, fault_plan, deadline_s, self._hb
         )
-        env = prog_env_inline if is_remote(rank) else prog_env
-        p = ctx.Process(
-            target=_socket_worker_main,
-            args=(
-                rank,
-                generation,
-                n_ranks,
-                addr,
-                env,
-                timeout,
-                fault_plan,
-                generation > 0,
-                deadline_s,
-                hb.interval,
-                is_remote(rank),
-            ),
-            name=name,
-            daemon=True,
-        )
-        p.start()
-        procs[rank] = p
 
-    def broadcast_abort(err: str) -> None:
-        nonlocal abort_deadline
-        with router_lock:
-            live = [conns.get(r) for r in range(n_ranks) if not finished[r]]
-        for conn in live:
-            if conn is not None:
-                conn.send(("abort", err))
-        if abort_deadline is None:
-            abort_deadline = time.monotonic() + _ABORT_GRACE
+        def seed(rank: int) -> None:
+            if residents is None:
+                return
+            threshold = _INLINE if self._remote[rank] else shm.DEFAULT_THRESHOLD
+            packed = shm.pack(residents(rank), threshold=threshold)
+            prog.seed_envs.append(packed)
+            prog.seeds[rank] = packed
 
-    def handle_loss(rank: int, err: str) -> bool:
-        """Crash/hang recovery; True when the rank is finished.
+        procs = self._procs
+        finished = [False] * n_ranks
+        results: list = [None] * n_ranks
+        errors: list[tuple[int, str]] = []
+        respawn_counts = [0] * n_ranks
+        recoveries: list[dict] = []
+        telemetries: list[tuple[int, dict]] = []
+        suspect_since: dict[int, float] = {}
+        abort_deadline: float | None = None
+        lost_rank: int | None = None
+        lost_epoch = 0
+        stats = prog.stats
+        detector = prog.detector
 
-        Respawn-with-replay while the budget lasts; past it, either a
-        fatal abort (classic) or a permanent loss carrying checkpoints
-        out via RankLostError (elastic).
-        """
-        nonlocal lost_rank, lost_epoch
-        stats.record_fault("crashes", rank=rank)
-        if respawn_counts[rank] < max_respawns:
-            respawn_counts[rank] += 1
-            sibling = rank ^ 1 if n_ranks > 1 else rank
-            recoveries.append(
-                {
-                    "stage": "rank_respawn",
-                    "rank": rank,
-                    "adopted_by": sibling,
-                    "generation": respawn_counts[rank],
-                    "error": err,
-                }
-            )
-            with router_lock:
-                old = conns.pop(rank, None)
-                for key, (sw, _dw) in key_world.items():
-                    if sw == rank:
-                        suppress[key] = len(logs[key])
-                gen = membership.respawn(rank)
-            stats.record_fault("respawns", rank=rank)
-            if old is not None:
-                old.close()
-            p = procs[rank]
-            if p is not None and p.is_alive():
-                p.terminate()  # a hung worker must not shadow its replacement
-            spawn(rank, gen)
-            return False
-        with router_lock:
-            epoch = membership.confirm_dead(rank)
-            conns.pop(rank, None)
-        stats.record_fault("confirmed_losses", rank=rank)
-        if elastic:
-            lost_rank, lost_epoch = rank, epoch
-            recoveries.append(
-                {
-                    "stage": "rank_lost",
-                    "rank": rank,
-                    "epoch": epoch,
-                    "error": err,
-                }
-            )
-            broadcast_abort(f"rank {rank} permanently lost: {err}")
+        def broadcast_abort(err: str) -> None:
+            nonlocal abort_deadline
+            with self._lock:
+                live = [self._conns.get(r) for r in range(n_ranks) if not finished[r]]
+            for conn in live:
+                if conn is not None:
+                    conn.send(("abort", prog.id, err))
+            if abort_deadline is None:
+                abort_deadline = time.monotonic() + _ABORT_GRACE
+
+        def handle_loss(rank: int, err: str) -> bool:
+            """Crash/hang recovery; True when the rank is finished.
+
+            Respawn-with-replay while the budget lasts; past it, either a
+            fatal abort (classic) or a permanent loss carrying checkpoints
+            out via RankLostError (elastic).
+            """
+            nonlocal lost_rank, lost_epoch
+            stats.record_fault("crashes", rank=rank)
+            if respawn_counts[rank] < max_respawns:
+                respawn_counts[rank] += 1
+                sibling = rank ^ 1 if n_ranks > 1 else rank
+                recoveries.append(
+                    {
+                        "stage": "rank_respawn",
+                        "rank": rank,
+                        "adopted_by": sibling,
+                        "generation": respawn_counts[rank],
+                        "error": err,
+                    }
+                )
+                seed(rank)
+                with self._lock:
+                    old = self._conns.pop(rank, None)
+                    for key, (sw, _dw) in prog.key_world.items():
+                        if sw == rank:
+                            prog.suppress[key] = len(prog.logs[key])
+                    gen = self._membership.respawn(rank)
+                    prog.respawned.add(rank)
+                stats.record_fault("respawns", rank=rank)
+                if old is not None:
+                    old.close()
+                p = procs[rank]
+                if p is not None and p.is_alive():
+                    p.terminate()  # a hung worker must not shadow its replacement
+                self._spawn(rank, gen)
+                return False
+            with self._lock:
+                epoch = self._membership.confirm_dead(rank)
+                self._conns.pop(rank, None)
+            stats.record_fault("confirmed_losses", rank=rank)
+            if elastic:
+                lost_rank, lost_epoch = rank, epoch
+                recoveries.append(
+                    {
+                        "stage": "rank_lost",
+                        "rank": rank,
+                        "epoch": epoch,
+                        "error": err,
+                    }
+                )
+                broadcast_abort(f"rank {rank} permanently lost: {err}")
+                return True
+            errors.append((rank, err))
+            broadcast_abort(err)
             return True
-        errors.append((rank, err))
-        broadcast_abort(err)
-        return True
 
-    accept_thread = threading.Thread(
-        target=_accept_loop, name="vmpi-sock-accept", daemon=True
-    )
-    accept_thread.start()
-
-    try:
-        for r in range(n_ranks):
-            spawn(r, 0)
-
-        n_finished = 0
-        while n_finished < n_ranks:
-            with detector_lock:
-                transitions = detector.poll()
-            for rank, state in transitions:
-                if finished[rank]:
-                    continue
-                if state == SUSPECTED:
-                    stats.record_fault("suspicions", rank=rank)
-                elif state == DEAD:
-                    err = (
-                        f"heartbeat failure: rank {rank} silent for more "
-                        f"than {hb.confirm_after}s"
-                    )
-                    if handle_loss(rank, err):
-                        finished[rank] = True
-                        n_finished += 1
-            try:
-                ev = events.get(timeout=0.2)
-            except queue.Empty:
-                now = time.monotonic()
+        try:
+            if first:
+                # the first program spawns the ranks, once its pickle is good.
                 for r in range(n_ranks):
-                    p = procs[r]
-                    if finished[r] or p is None or p.exitcode is None:
+                    self._spawn(r, 0)
+            for r in range(n_ranks):
+                if self._fresh[r]:
+                    seed(r)
+            with self._lock:
+                self._prog = prog
+                for rank, conn in self._conns.items():
+                    self._start(prog, rank, conn)
+                connected = list(self._conns)
+            with prog.detector_lock:
+                for rank in connected:
+                    detector.resurrect(rank)
+
+            n_finished = 0
+            while n_finished < n_ranks:
+                with prog.detector_lock:
+                    transitions = detector.poll()
+                for rank, state in transitions:
+                    if finished[rank]:
                         continue
-                    # process gone; its status frame may still be in
-                    # our reader's hands — grace window first.
-                    first = suspect_since.setdefault(r, now)
-                    if now - first < _DEATH_GRACE:
-                        continue
-                    suspect_since.pop(r, None)
-                    err = f"rank process died (exitcode {p.exitcode})"
-                    if handle_loss(r, err):
-                        finished[r] = True
-                        n_finished += 1
-                if abort_deadline is not None and now > abort_deadline:
+                    if state == SUSPECTED:
+                        stats.record_fault("suspicions", rank=rank)
+                    elif state == DEAD:
+                        err = (
+                            f"heartbeat failure: rank {rank} silent for more "
+                            f"than {self._hb.confirm_after}s"
+                        )
+                        if handle_loss(rank, err):
+                            finished[rank] = True
+                            n_finished += 1
+                try:
+                    report = prog.statuses.get(timeout=0.2)
+                except queue.Empty:
+                    now = time.monotonic()
                     for r in range(n_ranks):
-                        if not finished[r]:
-                            if procs[r] is not None and procs[r].is_alive():
-                                procs[r].terminate()
+                        p = procs[r]
+                        if finished[r] or p is None or p.exitcode is None:
+                            continue
+                        # process gone; its status frame may still be in
+                        # our reader's hands — grace window first.
+                        first = suspect_since.setdefault(r, now)
+                        if now - first < _DEATH_GRACE:
+                            continue
+                        suspect_since.pop(r, None)
+                        err = f"rank process died (exitcode {p.exitcode})"
+                        if handle_loss(r, err):
                             finished[r] = True
                             n_finished += 1
-                continue
-            if ev[0] == "conn_lost":
-                # beats stop with the connection; the heartbeat detector
-                # (or the exitcode poll) owns the verdict.
-                continue
-            _, rank, status, err, result_env, telemetry = ev
-            if finished[rank]:  # pragma: no cover - late duplicate status
-                continue
-            suspect_since.pop(rank, None)
-            telemetries.append((rank, telemetry))
-            if status == "crashed":
-                if not handle_loss(rank, err):
+                    if abort_deadline is not None and now > abort_deadline:
+                        for r in range(n_ranks):
+                            if not finished[r]:
+                                if procs[r] is not None and procs[r].is_alive():
+                                    procs[r].terminate()
+                                finished[r] = True
+                                n_finished += 1
                     continue
-            elif status == "failed":
-                if lost_rank is None:
-                    errors.append((rank, err))
-                    broadcast_abort(err)
-            else:
-                results[rank] = shm.unpack(result_env, unlink=True)
-            finished[rank] = True
-            n_finished += 1
-            with detector_lock:
-                detector.mark_dead(rank)  # done ranks stop beating
+                rank, status, err, result_env, telemetry = report
+                if finished[rank]:  # pragma: no cover - late duplicate status
+                    if result_env is not None:
+                        shm.free(result_env)
+                    continue
+                suspect_since.pop(rank, None)
+                telemetries.append((rank, telemetry))
+                if status == "crashed":
+                    if not handle_loss(rank, err):
+                        continue
+                elif status == "failed":
+                    if lost_rank is None:
+                        errors.append((rank, err))
+                        broadcast_abort(err)
+                else:
+                    results[rank] = shm.unpack(result_env, unlink=True)
+                finished[rank] = True
+                n_finished += 1
+                with prog.detector_lock:
+                    detector.mark_dead(rank)  # done ranks leave the detector
+
+            if lost_rank is not None:
+                p = procs[lost_rank]
+                plan = fault_plan
+                if (
+                    p is not None
+                    and p.is_alive()
+                    and plan is not None
+                    and plan.hang_rank == lost_rank
+                    and plan.hang_seconds <= _ZOMBIE_LINGER
+                ):
+                    # deterministic zombie-rejection coverage: the wedged
+                    # worker wakes shortly; wait (bounded) for its stale
+                    # frames to hit the router before tearing down.
+                    linger_until = time.monotonic() + _ZOMBIE_LINGER
+                    while (
+                        stats.stale_rejected == 0
+                        and p.is_alive()
+                        and time.monotonic() < linger_until
+                    ):
+                        time.sleep(0.05)
+        finally:
+            with self._lock:
+                self._prog = None
+                prog.free()
+
+        for _rank, telemetry in telemetries:
+            stats.merge(telemetry["stats"])
+        stats.rank_recoveries.extend(recoveries)
+        stats.publish()
+
+        reg = registry()
+        counter = current_counter()
+        for rank, telemetry in telemetries:
+            reg.merge_snapshot(telemetry["metrics"], rank=str(rank))
+            if counter is not None:
+                f = telemetry["flops"]
+                labeled = 0
+                for label, n in f["by_label"].items():
+                    counter.add_flops(n, label)
+                    labeled += n
+                counter.add_flops(f["flops"] - labeled)
+                counter.add_mops(f["mops"])
+                counter.add_kernel_evals(f["kernel_evals"])
 
         if lost_rank is not None:
-            p = procs[lost_rank]
-            plan = fault_plan
-            if (
-                p is not None
-                and p.is_alive()
-                and plan is not None
-                and plan.hang_rank == lost_rank
-                and plan.hang_seconds <= _ZOMBIE_LINGER
-            ):
-                # deterministic zombie-rejection coverage: the wedged
-                # worker wakes shortly; wait (bounded) for its stale
-                # frames to hit the router before tearing down.
-                linger_until = time.monotonic() + _ZOMBIE_LINGER
-                while (
-                    stats.stale_rejected == 0
-                    and p.is_alive()
-                    and time.monotonic() < linger_until
-                ):
-                    time.sleep(0.05)
-    finally:
-        accept_stop.set()
+            survivors = {
+                r: p for r, p in prog.checkpoints.items() if r != lost_rank
+            }
+            raise RankLostError(
+                f"virtual rank {lost_rank} permanently lost "
+                f"(epoch {lost_epoch}); {len(survivors)} survivor "
+                "checkpoint(s) available for repartitioning",
+                rank=lost_rank,
+                epoch=lost_epoch,
+                checkpoints=survivors,
+                stats=stats,
+            )
+        if errors:
+            rank, err = min(errors, key=lambda e: e[0])
+            raise RuntimeError(f"virtual rank {rank} failed: {err}")
+        return results, stats
+
+    # -- shutdown ----------------------------------------------------------
+    def close(self) -> None:
+        """End every rank process (idempotent).
+
+        Closing a rank's link is its signal to exit; a rank that has not
+        gone within a short grace (wedged, or mid-computation after a
+        failed program) is terminated.  Returns once all are reaped.
+        """
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+            conns = list(self._conns.values())
+            self._conns.clear()
+        self._accept_stop.set()
         try:
-            lsock.close()
+            self._lsock.close()
         except OSError:  # pragma: no cover - teardown race
             pass
-        with router_lock:
-            live = list(conns.values())
-            conns.clear()
-        for conn in live:
-            conn.close()
-        # drain unread statuses so their result envelopes are freed.
-        while True:
-            try:
-                ev = events.get_nowait()
-            except queue.Empty:
-                break
-            if ev[0] == "status" and ev[4] is not None:
-                shm.free(ev[4])
-        with router_lock:
-            for envs in logs.values():
-                for env in envs:
-                    shm.free(env)
-            logs.clear()
-        shm.free(prog_env)
-        if prog_env_inline is not None:
-            shm.free(prog_env_inline)
+        for conn in conns:
+            conn.hang_up()
+        procs = [p for p in (*self._procs, *self._retired) if p is not None]
+        until = time.monotonic() + _CLOSE_GRACE
         for p in procs:
-            if p is not None and p.is_alive():
+            p.join(max(0.0, until - time.monotonic()))
+        for p in procs:
+            if p.is_alive():
                 p.terminate()
-
-    for _rank, telemetry in telemetries:
-        stats.merge(telemetry["stats"])
-    stats.rank_recoveries.extend(recoveries)
-    stats.publish()
-
-    reg = registry()
-    counter = current_counter()
-    for rank, telemetry in telemetries:
-        reg.merge_snapshot(telemetry["metrics"], rank=str(rank))
-        if counter is not None:
-            f = telemetry["flops"]
-            labeled = 0
-            for label, n in f["by_label"].items():
-                counter.add_flops(n, label)
-                labeled += n
-            counter.add_flops(f["flops"] - labeled)
-            counter.add_mops(f["mops"])
-            counter.add_kernel_evals(f["kernel_evals"])
-
-    if lost_rank is not None:
-        survivors = {
-            r: p for r, p in checkpoints.items() if r != lost_rank
-        }
-        raise RankLostError(
-            f"virtual rank {lost_rank} permanently lost "
-            f"(epoch {lost_epoch}); {len(survivors)} survivor "
-            "checkpoint(s) available for repartitioning",
-            rank=lost_rank,
-            epoch=lost_epoch,
-            checkpoints=survivors,
-            stats=stats,
-        )
-    if errors:
-        rank, err = min(errors, key=lambda e: e[0])
-        raise RuntimeError(f"virtual rank {rank} failed: {err}")
-    return results, stats
+                p.join(1.0)
+            if p.is_alive():  # pragma: no cover - ignored SIGTERM
+                p.kill()
+                p.join()

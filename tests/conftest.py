@@ -15,6 +15,26 @@ from repro.kernels import GaussianKernel
 from repro.tree import BallTree
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_stray_rank_processes():
+    """Fail the session when a socket rank process outlives it.
+
+    A world's ranks end with the world: on ``close()``, with the handle
+    that owns it, or when a program fails.
+    """
+    yield
+    import gc
+    import multiprocessing
+
+    gc.collect()
+    stray = [
+        p.name
+        for p in multiprocessing.active_children()
+        if p.name.startswith("vmpi-sock-rank")
+    ]
+    assert not stray, f"vmpi rank processes still alive at session end: {stray}"
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -76,6 +76,23 @@ class TestPanels:
             assert np.linalg.norm(W[:, c] - w) < 10 * CFG.gmres.tol * np.linalg.norm(w)
 
 
+class TestLiveWorld:
+    def test_socket_solves_on_its_ranks_match_thread_bitwise(self, problem):
+        """k single solves and a panel on the ranks that factorized."""
+        h, u, _, _ = problem
+        B = np.stack([u, RNG.standard_normal(h.n_points)], axis=1)
+        dt = distributed_hybrid_factorize(h, 0.5, 2, CFG, backend="thread")
+        ds = distributed_hybrid_factorize(h, 0.5, 2, CFG, backend="socket")
+        procs = list(ds._world._ranks._procs)
+        for rhs in (B[:, 0], B[:, 1], B):
+            wt, _ = distributed_hybrid_solve(dt, rhs)
+            ws, _ = distributed_hybrid_solve(ds, rhs)
+            assert np.array_equal(wt, ws)
+        assert ds._world._ranks._procs == procs  # no respawn, no new world
+        ds.close()
+        assert not any(p.is_alive() for p in procs)
+
+
 class TestConvergenceReporting:
     @pytest.mark.parametrize("backend", ["thread", "socket"])
     def test_unconverged_solve_warns_once_per_column(self, problem, backend):

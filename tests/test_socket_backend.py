@@ -12,15 +12,25 @@ Tentpole invariants of the socket backend (docs/PARALLELISM.md):
   subtrees onto the survivors, resumes from per-level control-plane
   checkpoints, and the result matches the fault-free run to 1e-10.
 
+A :class:`World` keeps its ranks across programs: distributed handles
+solve on the ranks that factorized, telemetry is shipped per program,
+and no rank process or shared-memory segment outlives its use.
+
 All SPMD functions here are module-level: the socket backend pickles
 the program for spawn, so closures are rejected (covered below too).
 """
+
+import gc
+import multiprocessing
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.config import SkeletonConfig, SolverConfig, TreeConfig
-from repro.exceptions import ConfigurationError, RankLostError
+from repro.exceptions import CommunicatorError, ConfigurationError, RankLostError
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
 from repro.parallel.dist_solver import distributed_factorize, distributed_solve
@@ -29,6 +39,7 @@ from repro.parallel.vmpi import (
     FailureDetector,
     HeartbeatConfig,
     Membership,
+    World,
     run_spmd,
 )
 
@@ -81,6 +92,29 @@ def metrics_prog(comm):
 
     registry().counter("test.child_work").inc(comm.rank + 1)
     return comm.rank
+
+
+def flops_prog(comm):
+    """Count flops in the child; charged to the caller's counter."""
+    from repro.util.flops import count_flops
+
+    count_flops(100 * (comm.rank + 1), label="test_child")
+    return comm.rank
+
+
+def keep_prog(comm, value):
+    """Leave a value in this rank's resident store."""
+    comm.resident["kept"] = value + comm.rank
+    return comm.rank
+
+
+def read_prog(comm):
+    """Read back what an earlier program (or a seed) left on this rank."""
+    return comm.resident.get("kept")
+
+
+def pid_prog(comm):
+    return os.getpid()
 
 
 def checkpoint_prog(comm, rounds):
@@ -319,19 +353,211 @@ class TestLateConnection:
 
 class TestSpawnSafety:
     def test_blockcache_publish_after_spawn(self):
-        results, _ = run_spmd(cache_publish_prog, 2, backend="socket")
-        for r in results:
-            assert r["got_back"]
-            # child stats start from zero: exactly this worker's traffic.
-            assert r["lookups"] == 1 and r["hits"] == 1
+        with World(2, "socket") as world:
+            for _ in range(2):
+                results, _ = world.run(cache_publish_prog)
+                for r in results:
+                    assert r["got_back"]
+                    # stats start from zero per program: exactly this
+                    # program's traffic, also on a rank that lives on.
+                    assert r["lookups"] == 1 and r["hits"] == 1
 
     def test_metrics_merge_from_children(self):
         from repro.obs.metrics import registry
 
         before = registry().total("test.child_work")
-        run_spmd(metrics_prog, 2, backend="socket")
-        # ranks 0 and 1 incremented by 1 and 2 respectively.
-        assert registry().total("test.child_work") == before + 3.0
+        with World(2, "socket") as world:
+            world.run(metrics_prog)
+            # ranks 0 and 1 incremented by 1 and 2 respectively.
+            assert registry().total("test.child_work") == before + 3.0
+            world.run(metrics_prog)
+            # the second program ships its own counts, not running totals.
+            assert registry().total("test.child_work") == before + 6.0
+
+    def test_flops_charged_once_per_program(self):
+        from repro.util.flops import FlopCounter
+
+        with World(2, "socket") as world:
+            for _ in range(2):
+                with FlopCounter() as counter:
+                    world.run(flops_prog)
+                assert counter.by_label["test_child"] == 300
+
+
+# ----------------------------------------------------------------------
+# worlds: ranks and their resident stores outlive programs
+# ----------------------------------------------------------------------
+
+def live_ranks() -> set:
+    """Live socket rank processes of this test process."""
+    return {
+        p.pid
+        for p in multiprocessing.active_children()
+        if p.name.startswith("vmpi-sock-rank")
+    }
+
+
+def shm_segments() -> set:
+    return set(os.listdir("/dev/shm"))
+
+
+@pytest.mark.parametrize("backend", ["thread", "socket"])
+class TestWorld:
+    def test_residents_outlive_a_program(self, backend):
+        with World(2, backend) as world:
+            world.run(keep_prog, 10)
+            results, _ = world.run(read_prog)
+        assert results == [10, 11]
+
+    def test_residents_seed_a_fresh_world(self, backend):
+        results, _ = run_spmd(
+            read_prog, 2, backend=backend, residents=lambda r: {"kept": -r}
+        )
+        assert results == [0, -1]
+
+    def test_closed_world_refuses_programs(self, backend):
+        world = World(2, backend)
+        world.run(keep_prog, 0)
+        world.close()
+        with pytest.raises(CommunicatorError, match="closed"):
+            world.run(read_prog)
+
+    def test_failed_program_closes_the_world(self, backend):
+        world = World(2, backend)
+        with pytest.raises(RuntimeError, match="rank 0 failed"):
+            world.run(failing_prog)
+        assert world.closed
+
+
+class TestLiveHandles:
+    """A socket handle solves on the ranks that factorized."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, problem):
+        h, u = problem
+        dt = distributed_factorize(h, 0.7, n_ranks=2, backend="thread")
+        wt, _ = distributed_solve(dt, u)
+        return dt, wt
+
+    def test_solves_ship_only_the_right_hand_side(self, problem, reference):
+        h, u = problem
+        _, wt = reference
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        procs = list(ds._world._ranks._procs)
+        for _ in range(3):
+            ws, _ = distributed_solve(ds, u)
+            assert np.array_equal(wt, ws)
+        # the same two processes served every solve.
+        assert all(p.is_alive() for p in procs) and ds._world._ranks._procs == procs
+        ds.close()
+
+    def test_crash_in_a_solve_respawns_and_reseeds(self, problem, reference):
+        h, u = problem
+        dt, wt = reference
+        plan = lambda: FaultPlan(seed=5, crash_rank=1, crash_op=3)  # noqa: E731
+        wt_crash, st = distributed_solve(dt, u, fault_plan=plan())
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        ws, ss = distributed_solve(ds, u, fault_plan=plan())
+        assert np.array_equal(wt, ws) and np.array_equal(wt_crash, ws)
+        assert ss.crashes == st.crashes == 1
+        assert ss.respawns == st.respawns == 1
+        # the replacement holds dist.states[1] and serves later solves.
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+        ds.close()
+
+    def test_concurrent_solves_run_one_at_a_time(self, problem, reference):
+        """Four threads share one live handle: every answer stays bitwise."""
+        h, u = problem
+        _, wt = reference
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        answers: list = []
+
+        def solve_some() -> None:
+            for _ in range(5):
+                answers.append(distributed_solve(ds, u)[0])
+
+        threads = [threading.Thread(target=solve_some) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+            assert not t.is_alive()
+        assert len(answers) == 20
+        assert all(np.array_equal(wt, w) for w in answers)
+        ds.close()
+
+    def test_unpickled_handle_solves_bitwise(self, problem, reference):
+        h, u = problem
+        _, wt = reference
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        assert "_world" not in ds.__getstate__()
+        clone = pickle.loads(pickle.dumps(ds))
+        ws, _ = distributed_solve(clone, u)
+        assert np.array_equal(wt, ws)
+        ws, _ = distributed_solve(ds, u)  # the original keeps its ranks
+        assert np.array_equal(wt, ws)
+        ds.close()
+
+    def test_backend_override_solves_bitwise(self, problem, reference):
+        h, u = problem
+        _, wt = reference
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        ws, _ = distributed_solve(ds, u, backend="thread")
+        assert np.array_equal(wt, ws)
+        ds.close()
+        # a closed handle falls back to a one-program world too.
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+
+
+class TestNoLeaks:
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_threads_and_segments_flat_over_solves(self, problem):
+        h, u = problem
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        distributed_solve(ds, u)
+        threads, segments = threading.active_count(), shm_segments()
+        for _ in range(50):
+            distributed_solve(ds, u)
+        assert threading.active_count() == threads
+        assert shm_segments() - segments == set()
+        ds.close()
+
+    def test_no_rank_outlives_close(self, problem):
+        h, _ = problem
+        before = live_ranks()
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        assert len(live_ranks() - before) == 2
+        ds.close()
+        assert live_ranks() <= before
+
+    def test_no_rank_outlives_the_handle(self, problem):
+        h, _ = problem
+        before = live_ranks()
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        del ds
+        gc.collect()
+        assert live_ranks() <= before
+
+    def test_no_rank_outlives_a_failed_launch(self):
+        before = live_ranks()
+        with pytest.raises(RuntimeError, match="rank 0 failed"):
+            run_spmd(failing_prog, 2, backend="socket")
+        assert live_ranks() <= before
+
+    def test_rank_exits_when_its_link_closes(self):
+        world = World(2, "socket")
+        pids, _ = world.run(pid_prog)
+        ranks = world._ranks
+        procs = list(ranks._procs)
+        assert [p.pid for p in procs] == pids
+        for conn in list(ranks._conns.values()):
+            conn.hang_up()  # the supervisor's end goes away, close() is not called
+        for p in procs:
+            p.join(10.0)
+            assert p.exitcode == 0  # left by itself, not terminated
+        world.close()
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +679,7 @@ class TestElasticRepartition:
         h, u = problem
         d0 = distributed_factorize(h, 0.7, n_ranks=4, backend="thread")
         w0, _ = distributed_solve(d0, u)
+        before = live_ranks()
 
         plan = FaultPlan(seed=4, crash_rank=1, crash_op=4)
         kwargs = {"heartbeat": FAST_HB} if backend == "socket" else {}
@@ -468,6 +695,11 @@ class TestElasticRepartition:
 
         assert de.n_ranks == 2  # halved once
         assert float(np.max(np.abs(we - w0))) < 1e-10
+        if backend == "socket":
+            # the lost world's survivors are gone; the handle's two remain.
+            assert len(live_ranks() - before) == 2
+            de.close()
+            assert live_ranks() <= before
 
         # the repartition is recorded in SolverHealth and telemetry.
         events = [e for e in de.health.events if e.stage == "repartition"]
