@@ -39,8 +39,12 @@ from repro.exceptions import ConfigurationError, ConvergenceWarning
 from repro.hmatrix.hmatrix import HMatrix
 from repro.kernels.summation import KernelSummation, SummationMethod
 from repro.obs import emit_warning
-from repro.parallel.dist_solver import _LiveRanks
-from repro.parallel.vmpi import CommStats, Communicator, FaultPlan, World
+from repro.parallel.dist_solver import (
+    _launch_factorization,
+    _LiveRanks,
+    _resident_hmatrix,
+)
+from repro.parallel.vmpi import CommStats, Communicator, FaultPlan
 from repro.solvers.factorization import HierarchicalFactorization
 from repro.solvers.gmres import gmres_unreported
 from repro.solvers.recovery import SolverHealth
@@ -74,7 +78,9 @@ class _HybridRankState:
 class DistributedHybrid(_LiveRanks):
     """Handle returned by :func:`distributed_hybrid_factorize`.
 
-    Its ranks keep their states resident until :meth:`close`.
+    Its ranks keep the H-matrix and their states resident until
+    :meth:`close`, or until a refit over the same H-matrix takes them
+    over (:class:`~repro.parallel.dist_solver._LiveRanks`).
     """
 
     hmatrix: HMatrix
@@ -90,8 +96,9 @@ class DistributedHybrid(_LiveRanks):
 
 
 def _hybrid_factor_worker(
-    comm: Communicator, h: HMatrix, lam: float, config: SolverConfig
+    comm: Communicator, h: HMatrix | None, lam: float, config: SolverConfig
 ) -> _HybridRankState:
+    h = _resident_hmatrix(comm, h)
     tree = h.tree
     n_levels = int(np.log2(comm.size))
     subtree_root = tree.node((1 << n_levels) + comm.rank)
@@ -236,9 +243,13 @@ def distributed_hybrid_factorize(
     ``backend`` selects the vMPI execution backend (``None`` defers to
     ``config.backend`` and the ``REPRO_VMPI_BACKEND`` environment);
     ``hosts``/``heartbeat`` are socket-backend knobs (see
-    :func:`repro.parallel.vmpi.run_spmd`).  Elastic repartitioning is
-    a full-telescoping feature — the hybrid's frontier ownership does
-    not halve cleanly — so permanent rank loss here stays fatal.
+    :func:`repro.parallel.vmpi.run_spmd`).  A refit over the same
+    ``hmatrix`` object runs on the live world of its latest handle and
+    takes it over, as in
+    :func:`~repro.parallel.dist_solver.distributed_factorize`.  Elastic
+    repartitioning is a full-telescoping feature — the hybrid's
+    frontier ownership does not halve cleanly — so permanent rank loss
+    here stays fatal.
     """
     from repro.parallel.vmpi import resolve_backend
 
@@ -252,9 +263,9 @@ def distributed_hybrid_factorize(
         raise ConfigurationError(f"n_ranks must be a power of two; got {n_ranks}")
     if n_ranks > (1 << hmatrix.tree.depth):
         raise ConfigurationError("n_ranks exceeds the number of subtrees")
-    world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
-    states, stats = world.run(
-        _hybrid_factor_worker, hmatrix, lam, config, fault_plan=fault_plan
+    launch = (n_ranks, backend, hosts, heartbeat)
+    world, states, stats = _launch_factorization(
+        hmatrix, launch, _hybrid_factor_worker, lam, config, fault_plan=fault_plan
     )
     if backend == "socket":
         # rebind the unpickled per-rank HMatrix copies to the caller's
@@ -273,7 +284,7 @@ def distributed_hybrid_factorize(
         health=health,
         backend=backend,
     )
-    dist._keep(world)
+    dist._keep(world, launch)
     return dist
 
 

@@ -16,7 +16,10 @@ which is what the communication-counter tests measure.
 As in the paper, DistSolve runs on the ranks that ran DistFactorize:
 the handle keeps the :class:`~repro.parallel.vmpi.World` its
 factorization ran on, every rank keeps its :class:`_RankState` in its
-resident store, and a solve ships only the right-hand side.
+resident store, and a solve ships only the right-hand side.  ``K~``
+does not depend on lambda, so a refit over the same H-matrix runs on
+those ranks too: they keep the H-matrix resident, and a refit ships
+only lambda and the config.
 
 The factorization produced is bit-for-bit the serial one (the tests
 assert agreement with :func:`repro.solvers.factorize` to roundoff).
@@ -24,6 +27,8 @@ assert agreement with :func:`repro.solvers.factorize` to roundoff).
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -87,22 +92,53 @@ class _RankState:
     factor_flops: int = 0
 
 
+#: H-matrix -> weak reference to the latest distributed handle over it.
+_latest: "weakref.WeakKeyDictionary[HMatrix, weakref.ref]" = weakref.WeakKeyDictionary()
+
+#: stands in for the lock of a handle that never had a world (unpickled).
+_NO_LOCK = contextlib.nullcontext()
+
+
 class _LiveRanks:
     """A distributed handle whose rank states stay on the ranks that built them.
 
     The handle owns the :class:`~repro.parallel.vmpi.World` its
-    factorization ran on, and each rank keeps its state in its resident
-    store (``comm.resident["state"]``).  :meth:`close` ends the ranks;
-    so does garbage collection of the handle, or interpreter exit.  A
-    handle without a live world — unpickled (pickling drops the world),
-    closed, or asked for another backend — runs on a one-program world
-    seeded from ``states``; a rank respawned mid-solve is re-seeded from
-    them too.
+    factorization ran on.  Each rank keeps the H-matrix
+    (``comm.resident["hmatrix"]``) and its state
+    (``comm.resident["state"]``) in its resident store.  :meth:`close`
+    ends the ranks; so does garbage collection of the handle, or
+    interpreter exit.
+
+    A later factorization over the same H-matrix object, with the same
+    rank count, backend, hosts and heartbeat, takes the world over
+    (:meth:`_hand_over`): from then on the newer handle owns it, and
+    this one no longer has a world.  A handle without a live world —
+    handed over, unpickled (pickling drops the world), closed, or asked
+    for another backend — runs on a one-program world seeded from
+    ``states``; a rank respawned mid-solve is re-seeded from them too.
     """
 
-    def _keep(self, world: World) -> None:
+    def _keep(self, world: World, launch: tuple) -> None:
+        """Own ``world``, launched as ``(n_ranks, backend, hosts, heartbeat)``."""
         self._world = world
+        self._launch = launch
+        self._lock = threading.Lock()
         self._close_world = weakref.finalize(self, world.close)
+        _latest[self.hmatrix] = weakref.ref(self)
+
+    def _hand_over(self, launch: tuple) -> World | None:
+        """Give this handle's live world to a refit launched as ``launch``.
+
+        Waits for a program this handle is running on the world; any
+        later program of this handle runs on a one-program world.
+        """
+        with self._lock:
+            world = self.__dict__.get("_world")
+            if world is None or world.closed or self._launch != launch:
+                return None
+            self._close_world.detach()
+            del self._world, self._close_world
+            return world
 
     def close(self) -> None:
         """End the ranks that hold this handle's states (idempotent)."""
@@ -112,21 +148,22 @@ class _LiveRanks:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_world", None)
-        state.pop("_close_world", None)
+        for name in ("_world", "_launch", "_lock", "_close_world"):
+            state.pop(name, None)
         return state
 
     def _run(self, fn, *args, fault_plan=None, backend=None):
         """``fn(comm, *args)`` on ranks whose store holds their state."""
-        states = self.states
+        hmatrix, states = self.hmatrix, self.states
 
         def residents(rank: int) -> dict:
-            return {"state": states[rank]}
+            return {"hmatrix": hmatrix, "state": states[rank]}
 
         backend = resolve_backend(backend if backend is not None else self.backend)
-        world = self.__dict__.get("_world")
-        if world is not None and not world.closed and world.backend == backend:
-            return world.run(fn, *args, fault_plan=fault_plan, residents=residents)
+        with self.__dict__.get("_lock", _NO_LOCK):
+            world = self.__dict__.get("_world")
+            if world is not None and not world.closed and world.backend == backend:
+                return world.run(fn, *args, fault_plan=fault_plan, residents=residents)
         return run_spmd(
             fn,
             self.n_ranks,
@@ -137,13 +174,53 @@ class _LiveRanks:
         )
 
 
+def _launch_factorization(
+    hmatrix: HMatrix, launch: tuple, worker, *args, **run_kwargs
+) -> tuple[World, list, CommStats]:
+    """Run ``worker(comm, h, *args)`` on the world that will own the new handle.
+
+    That is the live world of the latest handle over ``hmatrix`` when it
+    was launched as ``launch = (n_ranks, backend, hosts, heartbeat)``:
+    its ranks hold the H-matrix already, so ``h`` ships as ``None`` and
+    a rank process respawned meanwhile is seeded with it.  Otherwise a
+    new world, whose ranks get the H-matrix in this first program's
+    arguments, packed once for all of them.
+    """
+    ref = _latest.get(hmatrix)
+    previous = ref() if ref is not None else None
+    world = previous._hand_over(launch) if previous is not None else None
+    if world is None:
+        n_ranks, backend, hosts, heartbeat = launch
+        world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
+        states, stats = world.run(worker, hmatrix, *args, **run_kwargs)
+    else:
+        states, stats = world.run(
+            worker, None, *args, residents=lambda rank: {"hmatrix": hmatrix}, **run_kwargs
+        )
+    return world, states, stats
+
+
+def _resident_hmatrix(comm: Communicator, h: HMatrix | None) -> HMatrix:
+    """The rank's H-matrix: ``h`` on a world's first program, else the resident one.
+
+    Also drops the rank's previous state, so a refit does not hold two.
+    """
+    if h is None:
+        h = comm.resident["hmatrix"]
+    else:
+        comm.resident["hmatrix"] = h
+    comm.resident.pop("state", None)
+    return h
+
+
 @dataclass
 class DistributedFactorization(_LiveRanks):
     """Result of :func:`distributed_factorize`.
 
     Holds a copy of every rank's state; the ranks that computed them
     keep theirs resident, and :func:`distributed_solve` runs on those
-    ranks (:class:`_LiveRanks`).  ``factor_stats`` records the fabric
+    ranks until a refit over the same H-matrix takes them over
+    (:class:`_LiveRanks`).  ``factor_stats`` records the fabric
     traffic of the factorization (paper: O(s^2 log^2 p) total).
     """
 
@@ -182,7 +259,7 @@ def _skeleton_points(h: HMatrix, node_id: int) -> tuple[np.ndarray, int]:
 
 def _factor_worker(
     comm: Communicator,
-    h: HMatrix,
+    h: HMatrix | None,
     lam: float,
     config: SolverConfig,
     checkpoint: bool = False,
@@ -190,6 +267,7 @@ def _factor_worker(
 ) -> _RankState:
     from repro.util.flops import FlopCounter
 
+    h = _resident_hmatrix(comm, h)
     with FlopCounter() as rank_counter:
         state = _factor_worker_body(
             comm, h, lam, config, checkpoint=checkpoint, resume=resume
@@ -423,8 +501,17 @@ def distributed_factorize(
     ``"socket"``, or ``None`` for ``config.backend``, which itself
     defaults to the ``REPRO_VMPI_BACKEND`` environment).  Both produce
     bitwise-identical factors; see docs/PARALLELISM.md.  The returned
-    handle keeps the world of ranks that factorized, each holding its
-    state, for :func:`distributed_solve`; ``close()`` ends them.
+    handle keeps the world of ranks that factorized, each holding the
+    H-matrix and its state, for :func:`distributed_solve`; ``close()``
+    ends them.
+
+    A refit — a call over the same ``hmatrix`` object whose latest
+    handle still owns a live world with the same rank count, backend,
+    ``hosts`` and ``heartbeat`` — runs on that world instead of
+    spawning one, shipping only ``lam`` and ``config``.  The new handle
+    takes the world over; the older one keeps its ``states`` and from
+    then on solves on a one-program world seeded from them, as an
+    unpickled handle does.  A failed refit closes the world.
 
     ``elastic=True`` arms **repartitioning**: every rank checkpoints its
     subtree factors at the local/distributed boundary, and when a rank
@@ -461,11 +548,12 @@ def distributed_factorize(
     while True:
         # a failed program closes its world, so no rank outlives a
         # repartition or an error.
-        world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
+        launch = (n_ranks, backend, hosts, heartbeat)
         try:
-            states, stats = world.run(
-                _factor_worker,
+            world, states, stats = _launch_factorization(
                 hmatrix,
+                launch,
+                _factor_worker,
                 lam,
                 config,
                 fault_plan=fault_plan,
@@ -536,7 +624,7 @@ def distributed_factorize(
         health=health,
         backend=backend,
     )
-    dist._keep(world)
+    dist._keep(world, launch)
     return dist
 
 

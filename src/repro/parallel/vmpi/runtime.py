@@ -55,6 +55,10 @@ environment by the CI chaos job), the launcher becomes a supervisor:
 Recovery events are recorded in ``stats.rank_recoveries`` so
 :class:`~repro.solvers.recovery.SolverHealth` can enumerate them.
 A program that fails closes its world.
+
+**Telemetry.**  Every program records one ``vmpi.program`` span
+(``backend``, ``ranks``, ``program``, ``launched``), and each world
+whose ranks start counts once in ``vmpi.worlds_launched{backend}``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from repro.exceptions import (
     RankCrashError,
     RankLostError,
 )
+from repro.obs import registry, span
 from repro.parallel.vmpi.communicator import Communicator
 from repro.parallel.vmpi.fabric import CommStats, Fabric
 from repro.parallel.vmpi.faults import FaultPlan, plan_from_env
@@ -212,23 +217,38 @@ class World:
         """
         if fault_plan is None:
             fault_plan = plan_from_env()
+        attrs = {
+            "backend": self.backend,
+            "ranks": self.n_ranks,
+            "program": getattr(fn, "__qualname__", repr(fn)),
+        }
         with self._one_program:
             if self.closed:
                 raise CommunicatorError("this world is closed")
-            try:
-                return self._ranks.run(
-                    fn,
-                    args,
-                    kwargs,
-                    timeout=timeout,
-                    fault_plan=fault_plan,
-                    max_respawns=max_respawns,
-                    elastic=elastic,
-                    residents=residents,
-                )
-            except BaseException:
-                self.close()
-                raise
+            starting = not self._ranks.started
+            with span("vmpi.program", attrs=attrs) as sp:
+                try:
+                    return self._ranks.run(
+                        fn,
+                        args,
+                        kwargs,
+                        timeout=timeout,
+                        fault_plan=fault_plan,
+                        max_respawns=max_respawns,
+                        elastic=elastic,
+                        residents=residents,
+                    )
+                except BaseException:
+                    self.close()
+                    raise
+                finally:
+                    launched = starting and self._ranks.started
+                    if sp is not None:
+                        sp.attrs["launched"] = launched
+                    if launched:
+                        registry().counter(
+                            "vmpi.worlds_launched", backend=self.backend
+                        ).inc()
 
     def close(self) -> None:
         """End the ranks and drop their stores (idempotent)."""
@@ -280,7 +300,8 @@ class _ThreadRanks:
         self.n_ranks = n_ranks
         self.closed = False
         self._stores: list[dict] = [{} for _ in range(n_ranks)]
-        self._fresh = True
+        #: set by the first program, the only one that seeds the stores.
+        self.started = False
 
     def close(self) -> None:
         self.closed = True
@@ -301,10 +322,10 @@ class _ThreadRanks:
         from repro.resilience.deadline import current_deadline, deadline_scope
 
         n_ranks = self.n_ranks
-        if residents is not None and self._fresh:
+        if residents is not None and not self.started:
             for rank, store in enumerate(self._stores):
                 store.update(residents(rank))
-        self._fresh = False
+        self.started = True
         stores = self._stores
         dl = current_deadline()  # contextvars do not cross thread spawns
         if dl is not None and dl.seconds is not None:

@@ -590,6 +590,9 @@ class SocketRanks:
         self._lsock = socket.create_server(
             ("127.0.0.1", port_from_env()), backlog=2 * n_ranks
         )
+        # set here, not in the accept thread: a world closed before that
+        # thread first runs would hand it a closed socket.
+        self._lsock.settimeout(0.2)
         self._addr = self._lsock.getsockname()
         self._lock = threading.Lock()  # router state: conns, the program
         self._membership = Membership(list(range(n_ranks)))
@@ -605,6 +608,11 @@ class SocketRanks:
         threading.Thread(
             target=self._accept_loop, name="vmpi-sock-accept", daemon=True
         ).start()
+
+    @property
+    def started(self) -> bool:
+        """Whether a program has spawned the rank processes."""
+        return self._n_programs > 0
 
     # -- processes and connections --------------------------------------
     def _spawn(self, rank: int, generation: int) -> None:
@@ -719,11 +727,9 @@ class SocketRanks:
                     prog.stats.record_fault("heartbeats")
 
     def _accept_loop(self) -> None:
-        lsock = self._lsock
-        lsock.settimeout(0.2)
         while not self._accept_stop.is_set():
             try:
-                s, _peer = lsock.accept()
+                s, _peer = self._lsock.accept()
             except socket.timeout:
                 continue
             except OSError:

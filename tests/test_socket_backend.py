@@ -13,8 +13,9 @@ Tentpole invariants of the socket backend (docs/PARALLELISM.md):
   checkpoints, and the result matches the fault-free run to 1e-10.
 
 A :class:`World` keeps its ranks across programs: distributed handles
-solve on the ranks that factorized, telemetry is shipped per program,
-and no rank process or shared-memory segment outlives its use.
+solve on the ranks that factorized, a refit over the same H-matrix
+takes their world over, telemetry is shipped per program, and no rank
+process or shared-memory segment outlives its use.
 
 All SPMD functions here are module-level: the socket backend pickles
 the program for spawn, so closures are rejected (covered below too).
@@ -29,11 +30,20 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import SkeletonConfig, SolverConfig, TreeConfig
+from repro.config import GMRESConfig, SkeletonConfig, SolverConfig, TreeConfig
 from repro.exceptions import CommunicatorError, ConfigurationError, RankLostError
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
-from repro.parallel.dist_solver import distributed_factorize, distributed_solve
+from repro.obs import Tracer, registry, set_tracer
+from repro.parallel.dist_hybrid import (
+    distributed_hybrid_factorize,
+    distributed_hybrid_solve,
+)
+from repro.parallel.dist_solver import (
+    _solve_worker,
+    distributed_factorize,
+    distributed_solve,
+)
 from repro.parallel.vmpi import (
     FaultPlan,
     FailureDetector,
@@ -115,6 +125,11 @@ def read_prog(comm):
 
 def pid_prog(comm):
     return os.getpid()
+
+
+def resident_prog(comm):
+    """What this rank keeps between programs."""
+    return sorted(comm.resident)
 
 
 def checkpoint_prog(comm, rounds):
@@ -428,6 +443,23 @@ class TestWorld:
             world.run(failing_prog)
         assert world.closed
 
+    def test_each_program_records_a_span_and_one_launch(self, backend):
+        launched = worlds_launched(backend)
+        tr = Tracer()
+        previous = set_tracer(tr)
+        try:
+            with World(2, backend) as world:
+                world.run(keep_prog, 0)
+                world.run(read_prog)
+        finally:
+            set_tracer(previous)
+        spans = [r for r in tr.tree() if r["name"] == "vmpi.program"]
+        assert [sp["attrs"] for sp in spans] == [
+            {"backend": backend, "ranks": 2, "program": name, "launched": first}
+            for name, first in (("keep_prog", True), ("read_prog", False))
+        ]
+        assert worlds_launched(backend) == launched + 1
+
 
 class TestLiveHandles:
     """A socket handle solves on the ranks that factorized."""
@@ -558,6 +590,228 @@ class TestNoLeaks:
             p.join(10.0)
             assert p.exitcode == 0  # left by itself, not terminated
         world.close()
+
+    def test_accept_loop_survives_a_world_closed_before_it_runs(self):
+        from repro.parallel.vmpi.sockets import SocketRanks
+
+        ranks = SocketRanks(2)
+        ranks.close()
+        ranks._accept_loop()  # returns: the closed socket is not touched
+
+
+# ----------------------------------------------------------------------
+# refits: a new factorization over the same H-matrix takes its world over
+# ----------------------------------------------------------------------
+
+LAMS = (0.1, 1.0, 5.0, 25.0, 0.5)
+
+
+def worlds_launched(backend: str = "socket") -> float:
+    return registry().value("vmpi.worlds_launched", backend=backend)
+
+
+def factor_payloads(dist) -> list[np.ndarray]:
+    """Every array a distributed telescoping factorization holds."""
+    arrays = []
+    for state in dist.states:
+        local = state.local
+        for nid in sorted((*local.leaf_factors, *local.node_factors)):
+            payload = local.export_node_payload(nid)
+            arrays += [v for v in payload.values() if isinstance(v, np.ndarray)]
+        for l in sorted(state.levels):
+            z_lu = state.levels[l].z_lu
+            arrays += list(z_lu) if z_lu is not None else []
+        arrays += [state.phat_chain[l] for l in sorted(state.phat_chain)]
+    return arrays
+
+
+def assert_bitwise(a: list[np.ndarray], b: list[np.ndarray]) -> None:
+    assert len(a) == len(b)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.fixture(scope="module")
+def thread_refits(problem):
+    """Thread-backend payloads and solve at each (p, lam) of the sweeps."""
+    h, u = problem
+    out = {}
+    for p in (2, 4):
+        for lam in (0.7, *LAMS):
+            dt = distributed_factorize(h, lam, n_ranks=p, backend="thread")
+            out[p, lam] = factor_payloads(dt), distributed_solve(dt, u)[0]
+    return out
+
+
+class TestRefit:
+    """A lambda sweep over one H-matrix spawns one world."""
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_sweep_keeps_its_ranks_and_matches_threads(
+        self, problem, thread_refits, p
+    ):
+        h, u = problem
+        ds = distributed_factorize(h, 0.7, n_ranks=p, backend="socket")
+        procs = list(ds._world._ranks._procs)
+        launched = worlds_launched()
+        for lam in LAMS:
+            ds = distributed_factorize(h, lam, n_ranks=p, backend="socket")
+            payloads, wt = thread_refits[p, lam]
+            assert_bitwise(factor_payloads(ds), payloads)
+            assert np.array_equal(distributed_solve(ds, u)[0], wt)
+        assert worlds_launched() == launched
+        assert ds._world._ranks._procs == procs
+        assert all(proc.is_alive() for proc in procs)
+        ds.close()
+        assert not any(proc.is_alive() for proc in procs)
+
+    def test_hybrid_sweep_over_a_restricted_hmatrix(self, hmatrix_restricted):
+        h = hmatrix_restricted
+        cfg = SolverConfig(method="hybrid", gmres=GMRESConfig(tol=1e-11, max_iters=300))
+        u = np.random.default_rng(3).standard_normal(h.n_points)
+        wt = {}
+        for lam in LAMS:
+            dt = distributed_hybrid_factorize(h, lam, 2, cfg, backend="thread")
+            wt[lam] = distributed_hybrid_solve(dt, u)[0]
+        ds = distributed_hybrid_factorize(h, 0.7, 2, cfg, backend="socket")
+        procs = list(ds._world._ranks._procs)
+        launched = worlds_launched()
+        for lam in LAMS:
+            ds = distributed_hybrid_factorize(h, lam, 2, cfg, backend="socket")
+            assert np.array_equal(distributed_hybrid_solve(ds, u)[0], wt[lam])
+        assert worlds_launched() == launched
+        assert ds._world._ranks._procs == procs
+        ds.close()
+
+    def test_older_handle_solves_and_its_collection_spares_the_world(
+        self, problem, thread_refits
+    ):
+        h, u = problem
+        old = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        w_old = distributed_solve(old, u)[0]
+        procs = list(old._world._ranks._procs)
+        new = distributed_factorize(h, 5.0, n_ranks=2, backend="socket")
+        assert new._world._ranks._procs == procs
+        assert "_world" not in old.__dict__
+        assert np.array_equal(distributed_solve(old, u)[0], w_old)
+        old.close()  # owns no world any more: a no-op
+        del old
+        gc.collect()
+        assert all(p.is_alive() for p in procs)
+        assert np.array_equal(distributed_solve(new, u)[0], thread_refits[2, 5.0][1])
+        new.close()
+        assert not any(p.is_alive() for p in procs)
+
+    def test_older_handle_solve_racing_a_refit_keeps_its_lambda(
+        self, problem, thread_refits, monkeypatch
+    ):
+        """A refit on another thread waits for a solve the older handle
+        has in flight on the world, so that solve keeps its lambda."""
+        h, u = problem
+        old = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        world = old._world
+        in_flight, release = threading.Event(), threading.Event()
+
+        def held_solves(fn, *args, **kwargs):
+            if fn is _solve_worker:  # past the handle's world check
+                in_flight.set()
+                release.wait(60.0)
+            return World.run(world, fn, *args, **kwargs)
+
+        monkeypatch.setattr(world, "run", held_solves)
+        answers: list = []
+        handles: list = []
+        solve = threading.Thread(
+            target=lambda: answers.append(distributed_solve(old, u)[0])
+        )
+        refit = threading.Thread(
+            target=lambda: handles.append(
+                distributed_factorize(h, 25.0, n_ranks=2, backend="socket")
+            )
+        )
+        solve.start()
+        try:
+            assert in_flight.wait(60.0)
+            refit.start()
+            refit.join(1.0)
+            assert refit.is_alive()  # the hand-over waits for the older solve
+        finally:
+            release.set()
+        solve.join(60.0)
+        refit.join(120.0)
+        assert not solve.is_alive() and not refit.is_alive()
+        assert np.array_equal(answers[0], thread_refits[2, 0.7][1])
+        (new,) = handles
+        assert new._world is world
+        assert np.array_equal(distributed_solve(new, u)[0], thread_refits[2, 25.0][1])
+        assert np.array_equal(distributed_solve(old, u)[0], thread_refits[2, 0.7][1])
+        new.close()
+
+    def test_refit_past_the_respawn_budget_leaves_no_rank(
+        self, problem, thread_refits
+    ):
+        h, u = problem
+        before = live_ranks()
+        old = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        with pytest.raises(RuntimeError, match="RankCrashError"):
+            distributed_factorize(
+                h, 1.0, n_ranks=2, backend="socket",
+                fault_plan=FaultPlan(seed=5, crash_rank=1, crash_op=4),
+                max_respawns=0,
+            )
+        assert live_ranks() <= before
+        assert np.array_equal(distributed_solve(old, u)[0], thread_refits[2, 0.7][1])
+        later = distributed_factorize(h, 1.0, n_ranks=2, backend="socket")
+        assert np.array_equal(distributed_solve(later, u)[0], thread_refits[2, 1.0][1])
+        later.close()
+        assert live_ranks() <= before
+
+    def test_crash_in_a_refit_respawns_a_seeded_rank(self, problem, thread_refits):
+        h, u = problem
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        launched = worlds_launched()
+        ds = distributed_factorize(
+            h, 5.0, n_ranks=2, backend="socket",
+            fault_plan=FaultPlan(seed=5, crash_rank=1, crash_op=4),
+        )
+        assert ds.factor_stats.respawns == 1
+        assert worlds_launched() == launched
+        payloads, wt = thread_refits[2, 5.0]
+        assert_bitwise(factor_payloads(ds), payloads)
+        assert np.array_equal(distributed_solve(ds, u)[0], wt)
+        keys, _ = ds._world.run(resident_prog)
+        assert keys == [["hmatrix", "state"]] * 2
+        ds.close()
+
+    def test_crash_in_a_solve_then_a_refit(self, problem, thread_refits):
+        h, u = problem
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        launched = worlds_launched()
+        w, stats = distributed_solve(
+            ds, u, fault_plan=FaultPlan(seed=5, crash_rank=1, crash_op=3)
+        )
+        assert stats.respawns == 1
+        assert np.array_equal(w, thread_refits[2, 0.7][1])
+        # the replacement process was seeded with the H-matrix: it refits.
+        ds = distributed_factorize(h, 25.0, n_ranks=2, backend="socket")
+        assert worlds_launched() == launched
+        payloads, wt = thread_refits[2, 25.0]
+        assert_bitwise(factor_payloads(ds), payloads)
+        assert np.array_equal(distributed_solve(ds, u)[0], wt)
+        ds.close()
+
+    def test_another_shape_spawns_its_own_world(self, problem, thread_refits):
+        h, u = problem
+        d2 = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        world = d2._world
+        launched = worlds_launched()
+        d4 = distributed_factorize(h, 0.7, n_ranks=4, backend="socket")
+        dt = distributed_factorize(h, 0.7, n_ranks=2, backend="thread")
+        assert worlds_launched() == launched + 1
+        assert d4._world is not world and d2._world is world and not world.closed
+        for dist, p in ((d2, 2), (d4, 4), (dt, 2)):
+            assert np.array_equal(distributed_solve(dist, u)[0], thread_refits[p, 0.7][1])
+        d2.close()
+        d4.close()
 
 
 # ----------------------------------------------------------------------
