@@ -127,25 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the distributed factorize/solve "
                               "(Algorithms II.4/II.5) over P virtual ranks "
                               "(power of two; 0 = serial pipeline)")
-    p_solve.add_argument("--hosts", default=None, metavar="H1,H2,...",
-                         help="socket backend: comma-separated host list; "
-                              "ranks are assigned round-robin and non-local "
-                              "ranks use inline (TCP-shippable) envelopes "
-                              "(default: REPRO_VMPI_HOSTS)")
-    p_solve.add_argument("--hb-interval", type=float, default=None,
-                         metavar="SEC",
-                         help="socket backend: heartbeat period "
-                              "(default: REPRO_VMPI_HB_INTERVAL or 0.5)")
-    p_solve.add_argument("--hb-suspect", type=float, default=None,
-                         metavar="SEC",
-                         help="socket backend: silence before a rank is "
-                              "suspected (default: REPRO_VMPI_HB_SUSPECT "
-                              "or 2.0)")
-    p_solve.add_argument("--hb-confirm", type=float, default=None,
-                         metavar="SEC",
-                         help="socket backend: silence before a suspected "
-                              "rank is confirmed dead (default: "
-                              "REPRO_VMPI_HB_CONFIRM or 6.0)")
     p_solve.add_argument("--elastic", action="store_true",
                          help="on permanent rank loss, repartition the "
                               "subtrees onto the survivors and resume from "
@@ -337,33 +318,12 @@ def _cmd_solve(args) -> int:
 def _solve_distributed(args, solver, ds, lam, t_fit, ranks) -> int:
     """``repro solve --ranks P``: the distributed pipeline (Alg. II.4/II.5)."""
     from repro.parallel import distributed_factorize, distributed_solve
-    from repro.parallel.vmpi import HeartbeatConfig
-    from repro.parallel.vmpi.membership import heartbeat_config_from_env
 
-    hosts_arg = getattr(args, "hosts", None)
-    hosts = (
-        [h.strip() for h in hosts_arg.split(",") if h.strip()]
-        if hosts_arg else None
-    )
-    hb_knobs = {
-        "interval": getattr(args, "hb_interval", None),
-        "suspect_after": getattr(args, "hb_suspect", None),
-        "confirm_after": getattr(args, "hb_confirm", None),
-    }
-    heartbeat = None
-    if any(v is not None for v in hb_knobs.values()):
-        base = heartbeat_config_from_env()
-        heartbeat = HeartbeatConfig(
-            **{k: (v if v is not None else getattr(base, k))
-               for k, v in hb_knobs.items()}
-        )
     t0 = time.perf_counter()
     dist = distributed_factorize(
         solver.hmatrix, lam, ranks, solver.solver_config,
         backend=getattr(args, "backend", None),
         elastic=getattr(args, "elastic", False),
-        hosts=hosts,
-        heartbeat=heartbeat,
     )
     t_factor = time.perf_counter() - t0
     u = np.random.default_rng(args.seed).standard_normal(ds.n)

@@ -18,7 +18,6 @@ so the performance model can convert them into modeled node times.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -44,28 +43,14 @@ def autotuned_tiles() -> tuple[int, int]:
     over the measured per-call dispatch overhead (~2 %), so small-tile
     loops are dominated by math, not Python — the probed
     :class:`~repro.perfmodel.MachineSpec` supplies both rates.  Clamped
-    to ``[DEFAULT_TILE_N, 4096]`` columns and rounded to a power of two;
-    ``REPRO_GSKS_TILE=MxN`` overrides, and with probing disabled
-    (``REPRO_MACHINE_PROBE=0``) the static defaults are used.  Cached
-    per process (the probe itself is also cached).
+    to ``[DEFAULT_TILE_N, 4096]`` columns and rounded to a power of two.
+    Cached per process (the probe itself is also cached).
     """
     global _TUNED
-    env = os.environ.get("REPRO_GSKS_TILE")
-    if env:
-        try:
-            m_s, n_s = env.lower().split("x", 1)
-            tm, tn = int(m_s), int(n_s)
-            if tm > 0 and tn > 0:
-                return (tm, tn)
-        except ValueError:
-            pass
     if _TUNED is not None:
         return _TUNED
-    from repro.perfmodel.machine import probed_machine, probing_enabled
+    from repro.perfmodel.machine import probed_machine
 
-    if not probing_enabled():
-        _TUNED = (DEFAULT_TILE_M, DEFAULT_TILE_N)
-        return _TUNED
     spec = probed_machine()
     # columns needed so DEFAULT_TILE_M rows of exp() take >= 50x the
     # per-call dispatch time (2% overhead ceiling).

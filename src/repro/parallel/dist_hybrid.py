@@ -40,9 +40,11 @@ from repro.hmatrix.hmatrix import HMatrix
 from repro.kernels.summation import KernelSummation, SummationMethod
 from repro.obs import emit_warning
 from repro.parallel.dist_solver import (
+    _BoundState,
     _launch_factorization,
     _LiveRanks,
     _resident_hmatrix,
+    _resident_state,
 )
 from repro.parallel.vmpi import CommStats, Communicator, FaultPlan
 from repro.solvers.factorization import HierarchicalFactorization
@@ -55,7 +57,7 @@ __all__ = ["DistributedHybrid", "distributed_hybrid_factorize", "distributed_hyb
 
 
 @dataclass
-class _HybridRankState:
+class _HybridRankState(_BoundState):
     """Per-rank retained state for the distributed hybrid method."""
 
     rank: int
@@ -74,7 +76,6 @@ class _HybridRankState:
     own_blocks: dict[int, KernelSummation] = field(default_factory=dict)
 
 
-@dataclass
 class DistributedHybrid(_LiveRanks):
     """Handle returned by :func:`distributed_hybrid_factorize`.
 
@@ -82,17 +83,6 @@ class DistributedHybrid(_LiveRanks):
     :meth:`close`, or until a refit over the same H-matrix takes them
     over (:class:`~repro.parallel.dist_solver._LiveRanks`).
     """
-
-    hmatrix: HMatrix
-    lam: float
-    n_ranks: int
-    config: SolverConfig
-    states: list[_HybridRankState]
-    factor_stats: CommStats
-    #: fault/recovery history of the launch (chaos runs; always present).
-    health: SolverHealth = field(default_factory=SolverHealth)
-    #: execution backend the factorization ran on; the solve reuses it.
-    backend: str = "thread"
 
 
 def _hybrid_factor_worker(
@@ -197,7 +187,7 @@ def _hybrid_solve_worker(
 ) -> tuple[np.ndarray, list[tuple[bool, int, float]]]:
     """My piece of the solution and, per column, GMRES's convergence facts
     ``(converged, iterations, final relative residual)``."""
-    state: _HybridRankState = comm.resident["state"]
+    state: _HybridRankState = _resident_state(comm)
     u_mine = u[state.lo : state.hi]
 
     # D^{-1} u on my frontier subtrees (DistSolve's local case).
@@ -231,8 +221,6 @@ def distributed_hybrid_factorize(
     config: SolverConfig | None = None,
     fault_plan: FaultPlan | None = None,
     backend: str | None = None,
-    hosts: list[str] | None = None,
-    heartbeat=None,
 ) -> DistributedHybrid:
     """Distributed partial factorization up to the frontier.
 
@@ -241,37 +229,28 @@ def distributed_hybrid_factorize(
     rank-local (the paper's Figure 2 layout).
 
     ``backend`` selects the vMPI execution backend (``None`` defers to
-    ``config.backend`` and the ``REPRO_VMPI_BACKEND`` environment);
-    ``hosts``/``heartbeat`` are socket-backend knobs (see
-    :func:`repro.parallel.vmpi.run_spmd`).  A refit over the same
-    ``hmatrix`` object runs on the live world of its latest handle and
-    takes it over, as in
+    ``config.backend`` and the ``REPRO_VMPI_BACKEND`` environment).  A
+    refit over the same ``hmatrix`` object runs on the live world of its
+    latest handle and takes it over, as in
     :func:`~repro.parallel.dist_solver.distributed_factorize`.  Elastic
     repartitioning is a full-telescoping feature — the hybrid's
     frontier ownership does not halve cleanly — so permanent rank loss
     here stays fatal.
     """
-    from repro.parallel.vmpi import resolve_backend
-
     config = config or SolverConfig(method="hybrid")
-    backend = resolve_backend(backend if backend is not None else config.backend)
     if config.method != "hybrid":
         raise ConfigurationError(
             f"distributed hybrid requires method='hybrid'; got {config.method!r}"
         )
-    if n_ranks < 1 or (n_ranks & (n_ranks - 1)) != 0:
-        raise ConfigurationError(f"n_ranks must be a power of two; got {n_ranks}")
-    if n_ranks > (1 << hmatrix.tree.depth):
-        raise ConfigurationError("n_ranks exceeds the number of subtrees")
-    launch = (n_ranks, backend, hosts, heartbeat)
     world, states, stats = _launch_factorization(
-        hmatrix, launch, _hybrid_factor_worker, lam, config, fault_plan=fault_plan
+        hmatrix,
+        n_ranks,
+        backend if backend is not None else config.backend,
+        _hybrid_factor_worker,
+        lam,
+        config,
+        fault_plan=fault_plan,
     )
-    if backend == "socket":
-        # rebind the unpickled per-rank HMatrix copies to the caller's
-        # instance (see distributed_factorize).
-        for state in states:
-            state.local.hmatrix = hmatrix
     health = SolverHealth(final_path="distributed-hybrid")
     health.ingest_comm(stats)
     dist = DistributedHybrid(
@@ -279,12 +258,12 @@ def distributed_hybrid_factorize(
         lam=lam,
         n_ranks=n_ranks,
         config=config,
-        states=list(states),
+        states=states,
         factor_stats=stats,
         health=health,
-        backend=backend,
+        backend=world.backend,
     )
-    dist._keep(world, launch)
+    dist._keep(world)
     return dist
 
 
@@ -292,13 +271,11 @@ def distributed_hybrid_solve(
     dist: DistributedHybrid,
     u: np.ndarray,
     fault_plan: FaultPlan | None = None,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, CommStats]:
     """HybridSolve (Algorithm II.6) across the virtual ranks.
 
     ``u`` may be (N,) or (N, k); a panel is one lockstep GMRES solve.
-    It runs on the ranks that factorized; ``backend=None`` reuses the
-    backend the factorization ran on.
+    It runs on the ranks that factorized, on the backend they ran on.
 
     Warns
     -----
@@ -306,9 +283,7 @@ def distributed_hybrid_solve(
         Once per column whose GMRES stopped short of ``config.gmres.tol``.
     """
     u = check_vector(u, dist.hmatrix.n_points)
-    outs, stats = dist._run(
-        _hybrid_solve_worker, u, fault_plan=fault_plan, backend=backend
-    )
+    outs, stats = dist._run(_hybrid_solve_worker, u, fault_plan=fault_plan)
     dist.health.ingest_comm(stats)
     tol = dist.config.gmres.tol
     for column, (converged, n_iters, residual) in enumerate(outs[0][1]):

@@ -19,7 +19,8 @@ factorization ran on, every rank keeps its :class:`_RankState` in its
 resident store, and a solve ships only the right-hand side.  ``K~``
 does not depend on lambda, so a refit over the same H-matrix runs on
 those ranks too: they keep the H-matrix resident, and a refit ships
-only lambda and the config.
+only lambda and the config.  A rank state crosses without the H-matrix
+either way (:class:`_BoundState`): every holder has it already.
 
 The factorization produced is bit-for-bit the serial one (the tests
 assert agreement with :func:`repro.solvers.factorize` to roundoff).
@@ -28,6 +29,7 @@ assert agreement with :func:`repro.solvers.factorize` to roundoff).
 from __future__ import annotations
 
 import contextlib
+import copy
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -74,8 +76,26 @@ class _LevelState:
     s_r: int = 0
 
 
+class _BoundState:
+    """A rank state that pickles without the H-matrix its factors use.
+
+    Whoever unpickles a state holds that H-matrix already: the caller
+    that launched the factorization, the rank's resident store, an
+    unpickled handle.  Each rebinds it with :meth:`bind`.
+    """
+
+    def __getstate__(self):
+        local = copy.copy(self.local)
+        local.hmatrix = None
+        return {**self.__dict__, "local": local}
+
+    def bind(self, hmatrix: HMatrix):
+        self.local.hmatrix = hmatrix
+        return self
+
+
 @dataclass
-class _RankState:
+class _RankState(_BoundState):
     """Everything one virtual rank retains after DistFactorize."""
 
     rank: int
@@ -99,6 +119,7 @@ _latest: "weakref.WeakKeyDictionary[HMatrix, weakref.ref]" = weakref.WeakKeyDict
 _NO_LOCK = contextlib.nullcontext()
 
 
+@dataclass
 class _LiveRanks:
     """A distributed handle whose rank states stay on the ranks that built them.
 
@@ -110,31 +131,44 @@ class _LiveRanks:
     interpreter exit.
 
     A later factorization over the same H-matrix object, with the same
-    rank count, backend, hosts and heartbeat, takes the world over
-    (:meth:`_hand_over`): from then on the newer handle owns it, and
-    this one no longer has a world.  A handle without a live world —
-    handed over, unpickled (pickling drops the world), closed, or asked
-    for another backend — runs on a one-program world seeded from
-    ``states``; a rank respawned mid-solve is re-seeded from them too.
+    rank count and backend, takes the world over (:meth:`_hand_over`):
+    from then on the newer handle owns it, and this one no longer has a
+    world.  A handle without a live world — handed over, unpickled
+    (pickling drops the world), or closed — runs on a one-program world
+    seeded from ``states``; a rank respawned mid-solve is re-seeded
+    from them too.
     """
 
-    def _keep(self, world: World, launch: tuple) -> None:
-        """Own ``world``, launched as ``(n_ranks, backend, hosts, heartbeat)``."""
+    hmatrix: HMatrix
+    lam: float
+    n_ranks: int
+    config: SolverConfig
+    #: every rank's state, bound to ``hmatrix``.
+    states: list
+    factor_stats: CommStats
+    #: fault/recovery history of the launch (chaos runs; always present).
+    health: SolverHealth = field(default_factory=SolverHealth)
+    #: execution backend the factorization ran on; every solve runs on it.
+    backend: str = "thread"
+
+    def _keep(self, world: World) -> None:
+        """Own ``world``, the one the factorization ran on."""
         self._world = world
-        self._launch = launch
         self._lock = threading.Lock()
         self._close_world = weakref.finalize(self, world.close)
         _latest[self.hmatrix] = weakref.ref(self)
 
-    def _hand_over(self, launch: tuple) -> World | None:
-        """Give this handle's live world to a refit launched as ``launch``.
+    def _hand_over(self, n_ranks: int, backend: str) -> World | None:
+        """Give this handle's live world to a refit on ``n_ranks`` ``backend`` ranks.
 
         Waits for a program this handle is running on the world; any
         later program of this handle runs on a one-program world.
         """
         with self._lock:
             world = self.__dict__.get("_world")
-            if world is None or world.closed or self._launch != launch:
+            if world is None or world.closed:
+                return None
+            if (world.n_ranks, world.backend) != (n_ranks, backend):
                 return None
             self._close_world.detach()
             del self._world, self._close_world
@@ -148,56 +182,68 @@ class _LiveRanks:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for name in ("_world", "_launch", "_lock", "_close_world"):
+        for name in ("_world", "_lock", "_close_world"):
             state.pop(name, None)
         return state
 
-    def _run(self, fn, *args, fault_plan=None, backend=None):
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for rank_state in self.states:
+            rank_state.bind(self.hmatrix)
+
+    def _run(self, fn, *args, fault_plan=None):
         """``fn(comm, *args)`` on ranks whose store holds their state."""
         hmatrix, states = self.hmatrix, self.states
 
         def residents(rank: int) -> dict:
             return {"hmatrix": hmatrix, "state": states[rank]}
 
-        backend = resolve_backend(backend if backend is not None else self.backend)
         with self.__dict__.get("_lock", _NO_LOCK):
             world = self.__dict__.get("_world")
-            if world is not None and not world.closed and world.backend == backend:
+            if world is not None and not world.closed:
                 return world.run(fn, *args, fault_plan=fault_plan, residents=residents)
         return run_spmd(
             fn,
             self.n_ranks,
             *args,
             fault_plan=fault_plan,
-            backend=backend,
+            backend=self.backend,
             residents=residents,
         )
 
 
 def _launch_factorization(
-    hmatrix: HMatrix, launch: tuple, worker, *args, **run_kwargs
+    hmatrix: HMatrix, n_ranks: int, backend: str | None, worker, *args, **run_kwargs
 ) -> tuple[World, list, CommStats]:
     """Run ``worker(comm, h, *args)`` on the world that will own the new handle.
 
-    That is the live world of the latest handle over ``hmatrix`` when it
-    was launched as ``launch = (n_ranks, backend, hosts, heartbeat)``:
-    its ranks hold the H-matrix already, so ``h`` ships as ``None`` and
-    a rank process respawned meanwhile is seeded with it.  Otherwise a
-    new world, whose ranks get the H-matrix in this first program's
-    arguments, packed once for all of them.
+    ``n_ranks`` must be a power of two and at most ``2^depth``.  The
+    world is the live world of the latest handle over ``hmatrix`` when
+    it has ``n_ranks`` ranks on ``backend``: its ranks hold the
+    H-matrix already, so ``h`` ships as ``None`` and a rank process
+    respawned meanwhile is seeded with it.  Otherwise a new world, whose
+    ranks get the H-matrix in this first program's arguments, packed
+    once for all of them.  The states come back bound to ``hmatrix``.
     """
+    if n_ranks < 1 or (n_ranks & (n_ranks - 1)) != 0:
+        raise ConfigurationError(f"n_ranks must be a power of two; got {n_ranks}")
+    if n_ranks > (1 << hmatrix.tree.depth):
+        raise ConfigurationError(
+            f"n_ranks={n_ranks} exceeds the number of level-log2(p) "
+            f"subtrees (depth {hmatrix.tree.depth})"
+        )
+    backend = resolve_backend(backend)
     ref = _latest.get(hmatrix)
     previous = ref() if ref is not None else None
-    world = previous._hand_over(launch) if previous is not None else None
+    world = previous._hand_over(n_ranks, backend) if previous is not None else None
     if world is None:
-        n_ranks, backend, hosts, heartbeat = launch
-        world = World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat)
+        world = World(n_ranks, backend)
         states, stats = world.run(worker, hmatrix, *args, **run_kwargs)
     else:
         states, stats = world.run(
             worker, None, *args, residents=lambda rank: {"hmatrix": hmatrix}, **run_kwargs
         )
-    return world, states, stats
+    return world, [state.bind(hmatrix) for state in states], stats
 
 
 def _resident_hmatrix(comm: Communicator, h: HMatrix | None) -> HMatrix:
@@ -213,7 +259,11 @@ def _resident_hmatrix(comm: Communicator, h: HMatrix | None) -> HMatrix:
     return h
 
 
-@dataclass
+def _resident_state(comm: Communicator):
+    """The rank's state, bound to its resident H-matrix (a seed ships none)."""
+    return comm.resident["state"].bind(comm.resident["hmatrix"])
+
+
 class DistributedFactorization(_LiveRanks):
     """Result of :func:`distributed_factorize`.
 
@@ -223,18 +273,6 @@ class DistributedFactorization(_LiveRanks):
     (:class:`_LiveRanks`).  ``factor_stats`` records the fabric
     traffic of the factorization (paper: O(s^2 log^2 p) total).
     """
-
-    hmatrix: HMatrix
-    lam: float
-    n_ranks: int
-    config: SolverConfig
-    states: list[_RankState]
-    factor_stats: CommStats
-    #: fault/recovery history of the launch (chaos runs; always present).
-    health: SolverHealth = field(default_factory=SolverHealth)
-    #: execution backend the factorization ran on; :func:`distributed_solve`
-    #: reuses it unless overridden.
-    backend: str = "thread"
 
     @property
     def n_levels(self) -> int:
@@ -449,7 +487,7 @@ def _reduced_solve_dist(
 
 def _solve_worker(comm: Communicator, u: np.ndarray) -> np.ndarray:
     """Algorithm II.5 (recursion unrolled bottom-up over levels)."""
-    state: _RankState = comm.resident["state"]
+    state: _RankState = _resident_state(comm)
     n_levels = int(np.log2(comm.size))
     if n_levels == 0:
         return state.local.solve(u)
@@ -481,8 +519,6 @@ def distributed_factorize(
     fault_plan: FaultPlan | None = None,
     backend: str | None = None,
     elastic: bool = False,
-    hosts: list[str] | None = None,
-    heartbeat=None,
     max_respawns: int = 2,
 ) -> DistributedFactorization:
     """DistFactorize (Algorithm II.4) over ``n_ranks`` virtual ranks.
@@ -506,12 +542,12 @@ def distributed_factorize(
     ends them.
 
     A refit — a call over the same ``hmatrix`` object whose latest
-    handle still owns a live world with the same rank count, backend,
-    ``hosts`` and ``heartbeat`` — runs on that world instead of
-    spawning one, shipping only ``lam`` and ``config``.  The new handle
-    takes the world over; the older one keeps its ``states`` and from
-    then on solves on a one-program world seeded from them, as an
-    unpickled handle does.  A failed refit closes the world.
+    handle still owns a live world with the same rank count and
+    backend — runs on that world instead of spawning one, shipping only
+    ``lam`` and ``config``.  The new handle takes the world over; the
+    older one keeps its ``states`` and from then on solves on a
+    one-program world seeded from them, as an unpickled handle does.  A
+    failed refit closes the world.
 
     ``elastic=True`` arms **repartitioning**: every rank checkpoints its
     subtree factors at the local/distributed boundary, and when a rank
@@ -521,24 +557,15 @@ def distributed_factorize(
     of two old subtrees — restoring the survivors' checkpointed nodes
     and refactorizing only the lost subtree plus the merged roots.  The
     repartition is recorded in the returned ``health`` and in the
-    fabric's ``repartitions`` counter.  ``hosts``/``heartbeat`` are
-    socket-backend knobs (see :func:`repro.parallel.vmpi.run_spmd`).
+    fabric's ``repartitions`` counter.
     """
     from repro.exceptions import RankLostError
 
     config = config or SolverConfig()
-    backend = resolve_backend(backend if backend is not None else config.backend)
     if config.method not in ("nlogn", "direct"):
         raise ConfigurationError(
             "distributed factorization supports the telescoping method "
             f"only; got method={config.method!r}"
-        )
-    if n_ranks < 1 or (n_ranks & (n_ranks - 1)) != 0:
-        raise ConfigurationError(f"n_ranks must be a power of two; got {n_ranks}")
-    if n_ranks > (1 << hmatrix.tree.depth):
-        raise ConfigurationError(
-            f"n_ranks={n_ranks} exceeds the number of level-log2(p) "
-            f"subtrees (depth {hmatrix.tree.depth})"
         )
 
     health = SolverHealth(final_path="distributed")
@@ -548,11 +575,11 @@ def distributed_factorize(
     while True:
         # a failed program closes its world, so no rank outlives a
         # repartition or an error.
-        launch = (n_ranks, backend, hosts, heartbeat)
         try:
             world, states, stats = _launch_factorization(
                 hmatrix,
-                launch,
+                n_ranks,
+                backend if backend is not None else config.backend,
                 _factor_worker,
                 lam,
                 config,
@@ -606,25 +633,18 @@ def distributed_factorize(
             registry().counter(
                 "fabric.faults", kind="repartitions", rank=event["lost_rank"]
             ).inc(1)
-    if backend == "socket":
-        # Rank states come back as unpickled copies, each dragging its
-        # own HMatrix copy.  Rebind them all to the caller's instance:
-        # one HMatrix in memory, and a later pickle of the whole
-        # DistributedFactorization memoizes it into a single envelope.
-        for state in states:
-            state.local.hmatrix = hmatrix
     health.ingest_comm(stats)
     dist = DistributedFactorization(
         hmatrix=hmatrix,
         lam=lam,
         n_ranks=n_ranks,
         config=config,
-        states=list(states),
+        states=states,
         factor_stats=stats,
         health=health,
-        backend=backend,
+        backend=world.backend,
     )
-    dist._keep(world, launch)
+    dist._keep(world)
     return dist
 
 
@@ -632,21 +652,19 @@ def distributed_solve(
     dist: DistributedFactorization,
     u: np.ndarray,
     fault_plan: FaultPlan | None = None,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, CommStats]:
     """DistSolve (Algorithm II.5): ``w = (lambda I + K~)^{-1} u``.
 
     ``u`` is in tree order; returns ``(w, comm_stats)`` where the stats
     cover this solve's traffic only (paper: O(s log^2 p) per RHS).
-    The solve runs on the ranks that factorized, which ship back only
-    their pieces of ``w``.  Faults observed under a ``fault_plan`` are
-    also appended to ``dist.health``.  ``backend=None`` reuses the
-    backend the factorization ran on (``dist.backend``); another
-    backend runs on a one-program world seeded from ``dist.states``.
+    The solve runs on the ranks that factorized, on the backend they
+    ran on (``dist.backend``), and they ship back only their pieces of
+    ``w``.  Faults observed under a ``fault_plan`` are also appended to
+    ``dist.health``.
     """
     if not dist.states:
         raise NotFactorizedError("distributed factorization has no rank states")
     u = check_vector(u, dist.hmatrix.n_points)
-    pieces, stats = dist._run(_solve_worker, u, fault_plan=fault_plan, backend=backend)
+    pieces, stats = dist._run(_solve_worker, u, fault_plan=fault_plan)
     dist.health.ingest_comm(stats)
     return np.concatenate(pieces, axis=0), stats

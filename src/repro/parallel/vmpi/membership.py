@@ -4,9 +4,8 @@ A real MPI cluster can lose a rank *for good* — the host dies, the
 network partitions, the process is OOM-killed.  The thread backend
 never faces this (every rank shares the supervisor's process and
 lifetime), so its only recovery is log-replay respawn.  The socket
-backend (:mod:`repro.parallel.vmpi.sockets`) spans processes (and, in
-its transport shape, machines), and this module gives its supervisor
-the two pieces real clusters need:
+backend (:mod:`repro.parallel.vmpi.sockets`) spans processes, and this
+module gives its supervisor the two pieces real clusters need:
 
 * a **heartbeat failure detector** (:class:`FailureDetector`): every
   rank beats at ``HeartbeatConfig.interval``; a rank whose last beat is
@@ -20,48 +19,16 @@ the two pieces real clusters need:
   frames from a zombie — a host that was wrongly declared dead and
   wakes up later — are rejected as *stale* instead of corrupting the
   new epoch's protocol state.
-
-Environment knobs (all parsed defensively — a malformed value warns
-and falls back to the default, it never takes a launch down, matching
-the ``REPRO_FAULT_RATE`` pattern):
-
-* ``REPRO_VMPI_HB_INTERVAL`` — heartbeat period in seconds;
-* ``REPRO_VMPI_HB_SUSPECT`` — silence before suspicion, in seconds;
-* ``REPRO_VMPI_HB_CONFIRM`` — silence before confirmed death, in
-  seconds;
-* ``REPRO_VMPI_HOSTS`` — comma-separated host list for the socket
-  backend (ranks are assigned round-robin; see ``sockets.py``);
-* ``REPRO_VMPI_PORT`` — fixed supervisor port (default 0: ephemeral).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.parallel.vmpi.faults import _env_float, _env_int
 
-__all__ = [
-    "HeartbeatConfig",
-    "FailureDetector",
-    "Membership",
-    "heartbeat_config_from_env",
-    "hosts_from_env",
-    "port_from_env",
-    "ENV_HB_INTERVAL",
-    "ENV_HB_SUSPECT",
-    "ENV_HB_CONFIRM",
-    "ENV_HOSTS",
-    "ENV_PORT",
-]
-
-ENV_HB_INTERVAL = "REPRO_VMPI_HB_INTERVAL"
-ENV_HB_SUSPECT = "REPRO_VMPI_HB_SUSPECT"
-ENV_HB_CONFIRM = "REPRO_VMPI_HB_CONFIRM"
-ENV_HOSTS = "REPRO_VMPI_HOSTS"
-ENV_PORT = "REPRO_VMPI_PORT"
+__all__ = ["HeartbeatConfig", "FailureDetector", "Membership"]
 
 #: rank state as seen by the failure detector.
 ALIVE = "alive"
@@ -74,10 +41,11 @@ class HeartbeatConfig:
     """Failure-detector timing (seconds).
 
     ``interval`` is how often ranks beat; ``suspect_after`` and
-    ``confirm_after`` are silence thresholds.  The defaults are sized
-    for localhost CI (a beat every 0.5 s, suspicion after 4 missed
-    beats, confirmed death after 12) — cross-machine deployments should
-    widen them via the environment knobs.
+    ``confirm_after`` are silence thresholds.  The defaults are the
+    schedule every world runs (a beat every 0.5 s, suspicion after 4
+    missed beats, confirmed death after 12), sized for ranks on the
+    supervisor's machine; a tighter one, passed to
+    ``World(heartbeat=...)``, confirms a hang within seconds.
     """
 
     interval: float = 0.5
@@ -99,76 +67,6 @@ class HeartbeatConfig:
                 "confirm_after must be >= suspect_after; got "
                 f"{self.confirm_after} < {self.suspect_after}"
             )
-
-
-def heartbeat_config_from_env() -> HeartbeatConfig:
-    """Heartbeat timing from the environment (defensive: warn + default).
-
-    Values that are malformed *or* mutually inconsistent (e.g. a
-    confirm threshold below the suspect threshold) fall back to the
-    defaults with a rate-limited warning — an env typo must not turn
-    the failure detector into a rank-killer.
-    """
-    interval = _env_float(ENV_HB_INTERVAL, 0.5)
-    suspect = _env_float(ENV_HB_SUSPECT, 2.0)
-    confirm = _env_float(ENV_HB_CONFIRM, 6.0)
-    try:
-        return HeartbeatConfig(
-            interval=interval, suspect_after=suspect, confirm_after=confirm
-        )
-    except ConfigurationError as exc:
-        from repro.obs.logadapter import emit_warning
-
-        emit_warning(
-            f"env.{ENV_HB_INTERVAL}",
-            f"ignoring inconsistent heartbeat knobs ({exc}); using defaults",
-        )
-        return HeartbeatConfig()
-
-
-def hosts_from_env() -> list[str] | None:
-    """``REPRO_VMPI_HOSTS`` as a host list, or ``None`` when unset.
-
-    Empty entries (``"a,,b"``) are dropped with a warning; a value that
-    reduces to nothing is treated as unset.
-    """
-    raw = os.environ.get(ENV_HOSTS, "").strip()
-    if not raw:
-        return None
-    hosts = [h.strip() for h in raw.split(",")]
-    cleaned = [h for h in hosts if h]
-    if len(cleaned) != len(hosts):
-        from repro.obs.logadapter import emit_warning
-
-        emit_warning(
-            f"env.{ENV_HOSTS}",
-            f"dropping empty entries in {ENV_HOSTS}={raw!r}",
-        )
-    if not cleaned:
-        from repro.obs.logadapter import emit_warning
-
-        emit_warning(
-            f"env.{ENV_HOSTS}",
-            f"ignoring {ENV_HOSTS}={raw!r} (no usable hosts); "
-            "running on localhost",
-        )
-        return None
-    return cleaned
-
-
-def port_from_env() -> int:
-    """``REPRO_VMPI_PORT`` as a TCP port (default 0: ephemeral)."""
-    port = _env_int(ENV_PORT, 0)
-    if not (0 <= port <= 65535):
-        from repro.obs.logadapter import emit_warning
-
-        emit_warning(
-            f"env.{ENV_PORT}",
-            f"ignoring out-of-range {ENV_PORT}={port!r}; using an "
-            "ephemeral port",
-        )
-        return 0
-    return port
 
 
 @dataclass

@@ -23,11 +23,10 @@ Two backends, one launcher each (docs/PARALLELISM.md):
 * ``backend="socket"`` — ranks are worker processes, spawned once per
   world, speaking TCP frames to a supervisor router
   (:mod:`repro.parallel.vmpi.sockets`): true multi-core execution with
-  bitwise-identical results.  Payloads are pickle-5 envelopes (shared
-  memory for co-hosted ranks, inline over the wire for remote ones),
-  and heartbeat failure detection plus elastic membership make it the
-  backend that can recover a *hang*.  Requires ``fn`` and its
-  arguments to be picklable.
+  bitwise-identical results.  Payloads are pickle-5 envelopes (large
+  buffers through shared memory), and heartbeat failure detection plus
+  elastic membership make it the backend that can recover a *hang*.
+  Requires ``fn`` and its arguments to be picklable.
 
 ``backend=None`` resolves from the ``REPRO_VMPI_BACKEND`` environment
 variable, defaulting to ``thread``.
@@ -130,11 +129,11 @@ class World:
         ``REPRO_VMPI_BACKEND``.  Both backends produce bitwise-identical
         results; socket additionally requires each program and its
         arguments to be picklable (module-level functions).
-    hosts / heartbeat:
-        Socket-backend only: round-robin rank→host assignment and
-        failure-detector timing (see
-        :mod:`repro.parallel.vmpi.membership`).  Ignored by the thread
-        backend.
+    heartbeat:
+        Socket-backend only: the failure detector's schedule (default
+        :class:`~repro.parallel.vmpi.membership.HeartbeatConfig`); a
+        tighter one confirms a hang within seconds.  Ignored by the
+        thread backend.
 
     Socket ranks are spawned by the first program and end on
     :meth:`close` — called directly, by ``with World(...) as world:``,
@@ -147,7 +146,6 @@ class World:
         n_ranks: int,
         backend: str | None = None,
         *,
-        hosts: list[str] | None = None,
         heartbeat=None,
     ) -> None:
         if n_ranks < 1:
@@ -158,7 +156,7 @@ class World:
         if self.backend == "socket":
             from repro.parallel.vmpi.sockets import SocketRanks
 
-            self._ranks = SocketRanks(n_ranks, hosts=hosts, heartbeat=heartbeat)
+            self._ranks = SocketRanks(n_ranks, heartbeat=heartbeat)
         else:
             self._ranks = _ThreadRanks(n_ranks)
 
@@ -270,7 +268,6 @@ def run_spmd(
     max_respawns: int = 2,
     backend: str | None = None,
     elastic: bool = False,
-    hosts: list[str] | None = None,
     heartbeat=None,
     residents: Callable[[int], dict] | None = None,
     **kwargs,
@@ -280,7 +277,7 @@ def run_spmd(
     Opens a :class:`World`, runs one program and closes it; the
     parameters are :class:`World`'s and :meth:`World.run`'s.
     """
-    with World(n_ranks, backend, hosts=hosts, heartbeat=heartbeat) as world:
+    with World(n_ranks, backend, heartbeat=heartbeat) as world:
         return world.run(
             fn,
             *args,

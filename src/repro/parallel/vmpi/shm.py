@@ -14,9 +14,9 @@ slots::
     {"data": <pickle-5 bytes>,
      "slots": [("shm", name, nbytes) | ("inline", bytes), ...]}
 
-Buffers smaller than ``threshold`` stay inline (a shared-memory segment
-costs a file descriptor and a syscall; tiny headers are cheaper in the
-frame).  :func:`unpack` re-attaches each segment, copies the bytes out,
+Buffers smaller than :data:`DEFAULT_THRESHOLD` stay inline (a
+shared-memory segment costs a file descriptor and a syscall; tiny
+headers are cheaper in the frame).  :func:`unpack` re-attaches each segment, copies the bytes out,
 and closes it immediately — receivers never hold segment handles, so
 lifetime management stays with whoever calls :func:`free` (or passes
 ``unlink=True`` for single-consumer transfers).
@@ -91,12 +91,13 @@ def _untracked():
             resource_tracker.unregister = orig_unreg
 
 
-def pack(obj, threshold: int = DEFAULT_THRESHOLD) -> dict:
+def pack(obj) -> dict:
     """Serialize ``obj`` into a shared-memory envelope.
 
-    Every pickle-5 out-of-band buffer of at least ``threshold`` bytes is
-    copied into its own shared-memory segment; the envelope itself stays
-    small enough to travel in a socket frame.  The caller owns the
+    Every pickle-5 out-of-band buffer of at least
+    :data:`DEFAULT_THRESHOLD` bytes is copied into its own shared-memory
+    segment; the envelope itself stays small enough to travel in a
+    socket frame.  The caller owns the
     segments: pass the envelope to :func:`unpack` (``unlink=True`` for
     the last consumer) or :func:`free` it.
     """
@@ -106,7 +107,7 @@ def pack(obj, threshold: int = DEFAULT_THRESHOLD) -> dict:
     try:
         for pb in buffers:
             mv = pb.raw()
-            if mv.nbytes >= threshold and mv.nbytes > 0:
+            if mv.nbytes >= DEFAULT_THRESHOLD:
                 with _untracked():
                     seg = shared_memory.SharedMemory(create=True, size=mv.nbytes)
                 seg.buf[: mv.nbytes] = mv

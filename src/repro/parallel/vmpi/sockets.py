@@ -1,14 +1,11 @@
 """Socket-transport SPMD execution: ranks over TCP with heartbeats.
 
 The multi-core fabric backend (the thread backend is the other one):
-each virtual rank is a spawned worker process, and every frame —
-posts, checkpoints, heartbeats, status reports — travels over one TCP
-connection per rank to a supervisor-side router.  Payloads are
-pickle-5 envelopes (:mod:`repro.parallel.vmpi.shm`): buffers ride
-shared memory when the rank shares the supervisor's host and go inline
-over the wire when its assigned host is remote, so a single code path
-covers both the multi-core-one-box and the multi-box deployment
-shapes.
+each virtual rank is a worker process spawned on this machine, and
+every frame — posts, checkpoints, heartbeats, status reports — travels
+over one TCP connection per rank to a supervisor-side router.  Payloads
+are pickle-5 envelopes (:mod:`repro.parallel.vmpi.shm`): large buffers
+ride shared memory, small ones travel inline in the frame.
 
 A :class:`SocketRanks` is the supervisor of one *world*: its rank
 processes are spawned once and then run SPMD programs one after
@@ -63,12 +60,6 @@ status frame is ordered after every post it made, so replay arming
 needs no extra barrier, a survivor's checkpoint is always routed
 before its terminal status, and a program's ``run`` frame reaches a
 rank before any message of that program.
-
-Remote hosts: ``hosts=[...]`` (or ``REPRO_VMPI_HOSTS``) assigns ranks
-round-robin.  Workers are always *spawned* locally (``"spawn"`` start
-method) — this repo has no launcher agent — but a rank assigned a
-non-local host honestly uses the remote transport shape: all-inline
-envelopes, nothing through shared memory.
 """
 
 from __future__ import annotations
@@ -101,18 +92,11 @@ from repro.parallel.vmpi.membership import (
     FailureDetector,
     HeartbeatConfig,
     Membership,
-    heartbeat_config_from_env,
-    hosts_from_env,
-    port_from_env,
 )
 
 __all__ = ["SocketRankFabric", "SocketRanks"]
 
 _HDR = struct.Struct("!Q")
-
-#: threshold that forces every envelope buffer inline (remote hosts
-#: cannot attach the supervisor's shared-memory segments).
-_INLINE = 1 << 62
 
 #: how long the supervisor lingers after an elastic hang-loss for the
 #: zombie's stale frames (exercises epoch rejection deterministically).
@@ -127,13 +111,6 @@ _ABORT_GRACE = 15.0
 
 #: how long ranks get to exit on their own after their link closes.
 _CLOSE_GRACE = 2.0
-
-#: hostnames that resolve to the supervisor's own machine.
-_LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "::1"})
-
-
-def _is_local_host(host: str) -> bool:
-    return host in _LOCAL_HOSTS or host == socket.gethostname()
 
 
 def _send_frame(sock: socket.socket, lock: threading.Lock, frame) -> None:
@@ -199,7 +176,6 @@ class SocketRankFabric:
         reader: _FrameReader,
         timeout: float,
         fault_plan: FaultPlan | None,
-        inline_only: bool = False,
     ) -> None:
         self.fault_plan = fault_plan
         self.timeout = timeout
@@ -209,7 +185,6 @@ class SocketRankFabric:
         self._sock = sock
         self._wlock = write_lock
         self._reader = reader
-        self._threshold = _INLINE if inline_only else None
         self._pending: dict[tuple, deque] = defaultdict(deque)
         self._consumed: dict[tuple, int] = defaultdict(int)
         self._attempts: dict[tuple, int] = defaultdict(int)
@@ -220,11 +195,6 @@ class SocketRankFabric:
         if self.fault_plan is not None:
             return self.fault_plan.retry
         return RetryPolicy()
-
-    def _pack(self, payload):
-        if self._threshold is None:
-            return shm.pack(payload)
-        return shm.pack(payload, threshold=self._threshold)
 
     def post(
         self,
@@ -237,7 +207,7 @@ class SocketRankFabric:
         src_world: int,
         dst_world: int,
     ) -> None:
-        env = self._pack(payload)
+        env = shm.pack(payload)
         _send_frame(
             self._sock,
             self._wlock,
@@ -321,7 +291,6 @@ def _socket_rank_main(
     n_ranks: int,
     addr: tuple,
     hb_interval: float,
-    inline_only: bool,
 ) -> None:
     """Rank-process entry point (module-level: spawn must pickle it).
 
@@ -369,8 +338,7 @@ def _socket_rank_main(
         registry().reset()
         default_cache().reset_stats()
         fabric = SocketRankFabric(
-            world_rank, prog, sock, wlock, reader, timeout, fault_plan,
-            inline_only=inline_only,
+            world_rank, prog, sock, wlock, reader, timeout, fault_plan
         )
         counter = FlopCounter()
         status, err, result_env, hung = "ok", None, None, False
@@ -386,7 +354,7 @@ def _socket_rank_main(
                     result = fn(comm, *args, **kwargs)
             finally:
                 counter.detach()
-            result_env = fabric._pack(result)
+            result_env = shm.pack(result)
         except RankCrashError as exc:
             status, err = "crashed", repr(exc)
         except RankHangError as exc:
@@ -502,10 +470,9 @@ class _Conn:
 class _Program:
     """Router state of one program: its log, checkpoints, stats and seeds."""
 
-    def __init__(self, pid, env, env_inline, timeout, fault_plan, deadline_s, hb):
+    def __init__(self, pid, env, timeout, fault_plan, deadline_s, hb):
         self.id = pid
         self.env = env
-        self.env_inline = env_inline
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.deadline_s = deadline_s
@@ -542,9 +509,8 @@ class _Program:
             for env in envs:
                 shm.free(env)
         self.logs.clear()
-        for env in (self.env, self.env_inline, *self.seed_envs):
-            if env is not None:
-                shm.free(env)
+        for env in (self.env, *self.seed_envs):
+            shm.free(env)
 
 
 class SocketRanks:
@@ -555,41 +521,21 @@ class SocketRanks:
     program until :meth:`close`.  ``run`` keeps the ``run_spmd`` contract — returns ``(results,
     stats)``, raises ``RuntimeError("virtual rank r failed: ...")`` on
     rank failure, recovers injected crashes by respawn-with-replay —
-    plus the elastic extras:
-
-    * ``elastic=True``: a rank that is permanently lost (crash with the
-      respawn budget exhausted, or a heartbeat-confirmed hang) raises
-      :class:`~repro.exceptions.RankLostError` carrying the survivors'
-      latest checkpoints, instead of a bare RuntimeError;
-    * ``hosts``: round-robin rank→host assignment (default: the
-      ``REPRO_VMPI_HOSTS`` environment, else all-local).  Non-local
-      ranks use all-inline envelopes (the remote transport shape);
-    * ``heartbeat``: failure-detector timing (default: the
-      ``REPRO_VMPI_HB_*`` environment knobs).
+    and with ``elastic=True`` a rank that is permanently lost (crash
+    with the respawn budget exhausted, or a heartbeat-confirmed hang)
+    raises :class:`~repro.exceptions.RankLostError` carrying the
+    survivors' latest checkpoints, instead of a bare RuntimeError.
+    ``heartbeat`` is the failure detector's schedule (default
+    :class:`HeartbeatConfig`).
     """
 
-    def __init__(
-        self,
-        n_ranks: int,
-        hosts: list[str] | None = None,
-        heartbeat: HeartbeatConfig | None = None,
-    ) -> None:
+    def __init__(self, n_ranks: int, heartbeat: HeartbeatConfig | None = None) -> None:
         self.n_ranks = n_ranks
         self.closed = False
         self._ctx = mp.get_context("spawn")
-        self._hb = heartbeat if heartbeat is not None else heartbeat_config_from_env()
-        if hosts is None:
-            hosts = hosts_from_env()
-        self._remote = [
-            bool(hosts) and not _is_local_host(hosts[r % len(hosts)])
-            for r in range(n_ranks)
-        ]
-        # the supervisor binds loopback: workers are spawned locally even
-        # when assigned a remote host (no launcher agent in this repo) —
-        # remote assignment changes the transport shape, not the placement.
-        self._lsock = socket.create_server(
-            ("127.0.0.1", port_from_env()), backlog=2 * n_ranks
-        )
+        self._hb = heartbeat if heartbeat is not None else HeartbeatConfig()
+        # every rank is spawned on this machine: the supervisor binds loopback.
+        self._lsock = socket.create_server(("127.0.0.1", 0), backlog=2 * n_ranks)
         # set here, not in the accept thread: a world closed before that
         # thread first runs would hand it a closed socket.
         self._lsock.settimeout(0.2)
@@ -629,7 +575,6 @@ class SocketRanks:
                 self.n_ranks,
                 self._addr,
                 self._hb.interval,
-                self._remote[rank],
             ),
             name=name,
             daemon=True,
@@ -651,12 +596,11 @@ class SocketRanks:
         if self._fresh[rank] and rank in prog.seeds:
             conn.send(("seed", prog.seeds.pop(rank)))
         self._fresh[rank] = False
-        env = prog.env_inline if self._remote[rank] else prog.env
         conn.send(
             (
                 "run",
                 prog.id,
-                env,
+                prog.env,
                 prog.timeout,
                 prog.fault_plan,
                 rank in prog.respawned,
@@ -800,20 +744,14 @@ class SocketRanks:
                 "arguments for spawned ranks; use a module-level function "
                 f"(closures/lambdas cannot cross processes): {exc!r}"
             ) from exc
-        env_inline = None
-        if any(self._remote):
-            env_inline = shm.pack((fn, args, kwargs), threshold=_INLINE)
         first = self._n_programs == 0
         self._n_programs += 1
-        prog = _Program(
-            self._n_programs, env, env_inline, timeout, fault_plan, deadline_s, self._hb
-        )
+        prog = _Program(self._n_programs, env, timeout, fault_plan, deadline_s, self._hb)
 
         def seed(rank: int) -> None:
             if residents is None:
                 return
-            threshold = _INLINE if self._remote[rank] else shm.DEFAULT_THRESHOLD
-            packed = shm.pack(residents(rank), threshold=threshold)
+            packed = shm.pack(residents(rank))
             prog.seed_envs.append(packed)
             prog.seeds[rank] = packed
 

@@ -18,7 +18,6 @@ from repro.perfmodel.machine import (
     PYTHON_NODE,
     probe_machine,
     probed_machine,
-    probing_enabled,
 )
 from repro.perfmodel.summation_model import (
     SummationTimings,
@@ -34,7 +33,6 @@ __all__ = [
     "PYTHON_NODE",
     "probe_machine",
     "probed_machine",
-    "probing_enabled",
     "SummationTimings",
     "model_reference_summation",
     "model_gsks_summation",

@@ -14,7 +14,6 @@ memory-bound regimes of the summation model.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ __all__ = [
     "PYTHON_NODE",
     "probe_machine",
     "probed_machine",
-    "probing_enabled",
 ]
 
 
@@ -125,15 +123,6 @@ _PROBE_LOCK = threading.Lock()
 _PROBED: MachineSpec | None = None
 
 
-def probing_enabled() -> bool:
-    """Whether the runtime probe is on (``REPRO_MACHINE_PROBE=0`` kills it)."""
-    return os.environ.get("REPRO_MACHINE_PROBE", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
 def _best_seconds(fn, reps: int) -> float:
     """Minimum wall time of ``fn()`` over ``reps`` runs (one warmup)."""
     fn()
@@ -203,7 +192,7 @@ def probe_machine() -> MachineSpec:
 
 
 def probed_machine() -> MachineSpec:
-    """The cached probed spec, or :data:`PYTHON_NODE` when probing is off.
+    """The cached probed spec for this host.
 
     This is the default machine for everything host-dependent: the
     :class:`~repro.perf.BlockCache` policy, the GSKS tile autotuner, and
@@ -212,8 +201,6 @@ def probed_machine() -> MachineSpec:
     keep the sender's numbers instead of re-probing.
     """
     global _PROBED
-    if not probing_enabled():
-        return PYTHON_NODE
     if _PROBED is None:
         with _PROBE_LOCK:
             if _PROBED is None:

@@ -61,6 +61,13 @@ class TestCommands:
         assert code == 0
         assert "gmres_iters" in capsys.readouterr().out
 
+    def test_solve_distributed_small(self, capsys):
+        code = main(["solve", *SMALL, "--ranks", "2", "--backend", "thread"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dist-factorize[thread,p=2]" in out
+        assert "residual" in out
+
     def test_classify_small(self, capsys):
         code = main(
             ["classify", "--dataset", "covtype", "--n", "512",

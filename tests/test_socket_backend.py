@@ -132,6 +132,11 @@ def resident_prog(comm):
     return sorted(comm.resident)
 
 
+def state_prog(comm):
+    """This rank's resident state, shipped home."""
+    return comm.resident["state"]
+
+
 def checkpoint_prog(comm, rounds):
     """Exchange + checkpoint each round; traffic counters must ignore
     the control-plane checkpoint frames."""
@@ -531,16 +536,52 @@ class TestLiveHandles:
         assert np.array_equal(wt, ws)
         ds.close()
 
-    def test_backend_override_solves_bitwise(self, problem, reference):
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_closed_handle_solves_bitwise(self, problem, reference, backend):
         h, u = problem
         _, wt = reference
+        dist = distributed_factorize(h, 0.7, n_ranks=2, backend=backend)
+        dist.close()
+        # a one-program world on the handle's backend, seeded from its states.
+        ws, _ = distributed_solve(dist, u)
+        assert np.array_equal(wt, ws)
+
+
+def assert_states_bound(dist):
+    """Every state is bound to the handle's H-matrix, and ships without it."""
+    assert all(state.local.hmatrix is dist.hmatrix for state in dist.states)
+    for state in dist.states:
+        assert pickle.loads(pickle.dumps(state)).local.hmatrix is None
+    clone = pickle.loads(pickle.dumps(dist))
+    assert all(state.local.hmatrix is clone.hmatrix for state in clone.states)
+    return clone
+
+
+class TestRankStates:
+    """A rank state crosses without the H-matrix; its holder binds its own."""
+
+    def test_a_state_a_rank_returns_carries_no_hmatrix(self, problem):
+        h, _ = problem
         ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
-        ws, _ = distributed_solve(ds, u, backend="thread")
-        assert np.array_equal(wt, ws)
+        shipped, _ = ds._world.run(state_prog)
+        assert [state.local.hmatrix for state in shipped] == [None, None]
         ds.close()
-        # a closed handle falls back to a one-program world too.
-        ws, _ = distributed_solve(ds, u)
-        assert np.array_equal(wt, ws)
+
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_states_bind_to_the_handles_hmatrix(self, problem, backend):
+        h, u = problem
+        dist = distributed_factorize(h, 0.7, n_ranks=2, backend=backend)
+        clone = assert_states_bound(dist)
+        assert np.array_equal(distributed_solve(clone, u)[0], distributed_solve(dist, u)[0])
+        dist.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_hybrid_states_bind_to_the_handles_hmatrix(self, hmatrix_restricted, backend):
+        dist = distributed_hybrid_factorize(
+            hmatrix_restricted, 0.7, 2, SolverConfig(method="hybrid"), backend=backend
+        )
+        assert_states_bound(dist)
+        dist.close()
 
 
 class TestNoLeaks:
@@ -936,14 +977,12 @@ class TestElasticRepartition:
         before = live_ranks()
 
         plan = FaultPlan(seed=4, crash_rank=1, crash_op=4)
-        kwargs = {"heartbeat": FAST_HB} if backend == "socket" else {}
         de = distributed_factorize(
             h, 0.7, n_ranks=4,
             fault_plan=plan,
             backend=backend,
             elastic=True,
             max_respawns=0,
-            **kwargs,
         )
         we, _ = distributed_solve(de, u)
 
@@ -1043,58 +1082,3 @@ class TestMembership:
         s = m.summary()
         assert s["epoch"] == 1
         assert s["alive"] == [1]
-
-
-# ----------------------------------------------------------------------
-# satellite: defensive parsing of the REPRO_VMPI_* heartbeat knobs
-# ----------------------------------------------------------------------
-
-class TestEnvKnobs:
-    def test_malformed_interval_warns_and_defaults(self, monkeypatch):
-        from repro.obs.metrics import registry
-        from repro.parallel.vmpi.membership import heartbeat_config_from_env
-
-        before = registry().total("warnings.emitted")
-        monkeypatch.setenv("REPRO_VMPI_HB_INTERVAL", "not-a-float")
-        cfg = heartbeat_config_from_env()
-        assert cfg.interval == HeartbeatConfig().interval
-        assert registry().total("warnings.emitted") >= before
-
-    def test_inconsistent_combo_falls_back_entirely(self, monkeypatch):
-        from repro.parallel.vmpi.membership import heartbeat_config_from_env
-
-        # suspect below interval is invalid as a *combination*; the
-        # whole config must fall back to defaults, not crash.
-        monkeypatch.setenv("REPRO_VMPI_HB_INTERVAL", "5.0")
-        monkeypatch.setenv("REPRO_VMPI_HB_SUSPECT", "1.0")
-        cfg = heartbeat_config_from_env()
-        assert cfg == HeartbeatConfig()
-
-    def test_valid_env_overrides(self, monkeypatch):
-        from repro.parallel.vmpi.membership import heartbeat_config_from_env
-
-        monkeypatch.setenv("REPRO_VMPI_HB_INTERVAL", "0.25")
-        monkeypatch.setenv("REPRO_VMPI_HB_SUSPECT", "1.0")
-        monkeypatch.setenv("REPRO_VMPI_HB_CONFIRM", "3.0")
-        cfg = heartbeat_config_from_env()
-        assert cfg.interval == 0.25
-        assert cfg.suspect_after == 1.0
-        assert cfg.confirm_after == 3.0
-
-    def test_hosts_parsing_drops_empty_entries(self, monkeypatch):
-        from repro.parallel.vmpi.membership import hosts_from_env
-
-        monkeypatch.setenv("REPRO_VMPI_HOSTS", "nodeA, ,nodeB,")
-        assert hosts_from_env() == ["nodeA", "nodeB"]
-        monkeypatch.setenv("REPRO_VMPI_HOSTS", " , ")
-        assert hosts_from_env() is None
-
-    def test_port_out_of_range_falls_back(self, monkeypatch):
-        from repro.parallel.vmpi.membership import port_from_env
-
-        monkeypatch.setenv("REPRO_VMPI_PORT", "99999")
-        assert port_from_env() == 0
-        monkeypatch.setenv("REPRO_VMPI_PORT", "banana")
-        assert port_from_env() == 0
-        monkeypatch.setenv("REPRO_VMPI_PORT", "8123")
-        assert port_from_env() == 8123
