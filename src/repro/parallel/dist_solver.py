@@ -10,8 +10,11 @@ reduced system ``Z``; rank {q/2} owns the right child's skeleton.
 Skeletons are exchanged with a SendRecv between {0} and {q/2} and then
 broadcast within each half; the ``V W`` Gram blocks and the solve-phase
 reductions are computed locally on each rank's point slice and reduced
-up the halves — exactly the message pattern of Algorithms II.4/II.5,
-which is what the communication-counter tests measure.
+up the halves — the message pattern of Algorithms II.4/II.5, which is
+what the communication-counter tests measure.  Telescoping a node's
+``P^`` (eq. 10 in push-through form) needs no reduction: {0} solves
+``Z y = P_{[l~ r~] alpha~}`` and scatters ``y`` as a solve scatters its
+coefficients, and each rank multiplies its rows of its child's ``P^``.
 
 As in the paper, DistSolve runs on the ranks that ran DistFactorize:
 the handle keeps the :class:`~repro.parallel.vmpi.World` its
@@ -414,7 +417,6 @@ def _factor_worker_body(
         B = half_comm.reduce(B_i, root=0)
         if node_comm.rank == q // 2:
             node_comm.send(B, 0, tag=20 + l)  # B = K_{l~ r} P^_{r r~}
-        z_parts = None
         if node_comm.rank == 0:
             B_lr = node_comm.recv(q // 2, tag=20 + l)
             B_rl = B
@@ -426,29 +428,52 @@ def _factor_worker_body(
             lstate.z_lu = lapack.lu_factor(Z)
             count_flops(2 * (s_l + s_r) ** 3 // 3, label="dist_z_lu")
             lstate.s_l, lstate.s_r = s_l, s_r
-            z_parts = (s_l, s_r)
 
         if l == 0:
             break  # the root has no skeleton: nothing to telescope.
 
-        # telescope P^_{x alpha~} (eq. 10 / DistSolve with no recursion).
-        # {0} owns the node's projection P_{[l~ r~] alpha~}; broadcast it.
-        proj_info = None
+        # telescope P^_{x alpha~} (eq. 10 in push-through form): {0}
+        # holds Z's LU and the node's projection, so it solves
+        # Z y = P_{[l~ r~] alpha~} and scatters y; my rows of P^_alpha
+        # are my rows of my child's P^ times my child's rows of y.
+        y = None
         if node_comm.rank == 0:
-            proj_info = (h.skeletons[node.id].proj, z_parts[0])
-        proj, s_l = node_comm.bcast(proj_info, root=0)
-        my_cols = proj[:, :s_l] if i_am_left else proj[:, s_l:]
-        G_i = phat_prev @ my_cols.T  # (|x_i|, s_alpha)
-        count_flops(2 * phat_prev.size * proj.shape[0], label="dist_telescope")
-
-        y_mine = _reduced_solve_dist(
-            node_comm, half_comm, lstate, ksib.matvec(G_i), i_am_left, l
-        )
-        phat_prev = G_i - phat_prev @ y_mine
-        count_flops(2 * phat_prev.size * y_mine.shape[0], label="dist_telescope")
+            y = _z_solve(lstate, h.skeletons[node.id].proj.T)
+        y_mine = _scatter_coefficients(node_comm, half_comm, lstate, y, l)
+        count_flops(2 * phat_prev.size * y_mine.shape[1], label="dist_telescope")
+        phat_prev = phat_prev @ y_mine
         state.phat_chain[l] = phat_prev
 
     return state
+
+
+def _z_solve(lstate: _LevelState, t: np.ndarray) -> np.ndarray:
+    """``Z^{-1} t`` on comm rank {0} of a distributed node."""
+    k = 1 if t.ndim == 1 else t.shape[1]
+    count_flops(2 * t.shape[0] ** 2 * k, label="dist_z_solve")
+    return lapack.lu_solve(lstate.z_lu, t)
+
+
+def _scatter_coefficients(
+    node_comm: Communicator,
+    half_comm: Communicator,
+    lstate: _LevelState,
+    y: np.ndarray | None,
+    l: int,
+) -> np.ndarray:
+    """Each rank's rows of {0}'s ``Z^{-1}`` coefficients ``y``.
+
+    {0} keeps the left child's skeleton rows and sends the right
+    child's to {q/2}; each broadcasts its rows within its half.
+    """
+    q = node_comm.size
+    y_half = None
+    if node_comm.rank == 0:
+        node_comm.send(y[lstate.s_l :], q // 2, tag=40 + l)
+        y_half = y[: lstate.s_l]
+    elif node_comm.rank == q // 2:
+        y_half = node_comm.recv(0, tag=40 + l)
+    return half_comm.bcast(y_half, root=0)
 
 
 def _reduced_solve_dist(
@@ -456,33 +481,24 @@ def _reduced_solve_dist(
     half_comm: Communicator,
     lstate: _LevelState,
     t_i: np.ndarray,
-    i_am_left: bool,
     l: int,
 ) -> np.ndarray:
-    """Shared tail of Algorithms II.4/II.5 at one distributed node.
+    """Algorithm II.5 at one distributed node: each rank's rows of ``Z^{-1} t``.
 
     Reduces each half's ``V``-contribution ``t_i`` (rows: *sibling*
-    skeleton), solves ``Z y = t`` on {0}, and returns each rank's slice
-    of ``y`` for its own child's skeleton.
+    skeleton), solves ``Z y = t`` on {0}, and scatters ``y``
+    (:func:`_scatter_coefficients`).
     """
     q = node_comm.size
     t_half = half_comm.reduce(t_i, root=0)
     if node_comm.rank == q // 2:
         # right half computed rows l~ (its sibling): send t_l to {0}.
         node_comm.send(t_half, 0, tag=30 + l)
-    y_half = None
+    y = None
     if node_comm.rank == 0:
         t_l = node_comm.recv(q // 2, tag=30 + l)
-        t_r = t_half
-        t = np.concatenate([t_l, t_r], axis=0)
-        y = lapack.lu_solve(lstate.z_lu, t)
-        k = 1 if t.ndim == 1 else t.shape[1]
-        count_flops(2 * t.shape[0] ** 2 * k, label="dist_z_solve")
-        node_comm.send(y[lstate.s_l :], q // 2, tag=40 + l)
-        y_half = y[: lstate.s_l]
-    elif node_comm.rank == q // 2:
-        y_half = node_comm.recv(0, tag=40 + l)
-    return half_comm.bcast(y_half, root=0)
+        y = _z_solve(lstate, np.concatenate([t_l, t_half], axis=0))
+    return _scatter_coefficients(node_comm, half_comm, lstate, y, l)
 
 
 def _solve_worker(comm: Communicator, u: np.ndarray) -> np.ndarray:
@@ -500,9 +516,8 @@ def _solve_worker(comm: Communicator, u: np.ndarray) -> np.ndarray:
         node_comm = comms[l]
         half_comm = comms[l + 1]
         lstate = state.levels[l]
-        i_am_left = node_comm.rank < node_comm.size // 2
         y_mine = _reduced_solve_dist(
-            node_comm, half_comm, lstate, lstate.ksib.matvec(w), i_am_left, l
+            node_comm, half_comm, lstate, lstate.ksib.matvec(w), l
         )
         phat = state.phat_chain[l + 1]
         w = w - phat @ y_mine

@@ -105,7 +105,7 @@ def interpolative_decomposition(
 
     count_flops(4 * nsamp * ncols * min(nsamp, ncols), label="id_qr")
     # scipy's pivoted QR is LAPACK dgeqp3 — the paper's rank-revealing QR.
-    _q, R, piv = lapack.qr(G, pivoting=True)
+    R, piv = lapack.qr(G)
     rdiag = np.abs(np.diag(R))
 
     rank = _select_rank(rdiag, tau, max_rank, fixed_rank)

@@ -17,8 +17,14 @@ Two repair modes, both reusing as much of the existing
   *structure* (which points are skeletons, which columns are
   candidates) is frozen and only the projection matrices are refit
   against the new kernel by least squares on the same per-node row
-  sample.  This skips the tree build, the neighbor search, and the
-  pivoted-QR column selection — the cheap GP model-selection path.
+  sample.  This skips the tree build and the pivoted-QR column
+  selection — the cheap GP model-selection path.  It does not skip the
+  neighbor search: re-drawing the row sample runs
+  :func:`~repro.skeleton.skeletonize.prepare_sampling`, which rebuilds
+  the approximate kNN table over every point.
+
+Both modes re-draw their row samples that way, so an insertion that
+re-skeletonizes a few nodes still pays a kNN search over all points.
 """
 
 from __future__ import annotations
@@ -129,8 +135,9 @@ def refresh_projections(
     """Refit every projection against a new kernel, structure frozen.
 
     For each skeletonized node with sample rows ``S'`` (re-drawn
-    deterministically — geometry is unchanged, so the draw matches the
-    original build), candidates ``C`` and skeleton ``S ⊂ C``, solves
+    deterministically, neighbor table included — geometry is unchanged,
+    so the draw matches the original build), candidates ``C`` and
+    skeleton ``S ⊂ C``, solves
 
         ``min_P || K_new(S', S) P - K_new(S', C) ||_F``
 

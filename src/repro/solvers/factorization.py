@@ -173,14 +173,22 @@ def _refactored(event: dict, node_id: int) -> bool:
     return shift >= 0 and node_id >> shift == at
 
 
-def _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y) -> np.ndarray:
-    """Eq. (10) after its reduced solve: the stacked ``P^_alpha``."""
-    g, nl, s_a = G_l.shape
-    top = G_l - np.matmul(phat_l, y[:, :s_l])
-    bot = G_r - np.matmul(phat_r, y[:, s_l:])
-    s_r, nr = y.shape[1] - s_l, G_r.shape[1]
+def _telescope(phat_l: np.ndarray, phat_r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Eq. (10) in push-through form: the stacked ``P^_alpha``.
+
+    ``(I + W V)^{-1} W = W (I + V W)^{-1}``, so with
+    ``y = Z^{-1} P_{[l~ r~] alpha~}`` eq. (10) is
+    ``P^_alpha = blkdiag(P^_l, P^_r) y``: each child's GEMM writes its
+    rows of the C-ordered ``P^_alpha`` stack in place.
+    """
+    g, nl, s_l = phat_l.shape
+    nr, s_r = phat_r.shape[1:]
+    s_a = y.shape[-1]
+    phat = np.empty((g, nl + nr, s_a))
+    np.matmul(phat_l, y[:, :s_l], out=phat[:, :nl])
+    np.matmul(phat_r, y[:, s_l:], out=phat[:, nl:])
     count_flops(g * 2 * s_a * (nl * s_l + nr * s_r), label="factor_telescope")
-    return np.concatenate([top, bot], axis=1)
+    return phat
 
 
 class HierarchicalFactorization:
@@ -439,12 +447,10 @@ class HierarchicalFactorization:
         ``s`` is the leaves' skeleton rank, -1 for a skeleton-less root
         leaf (no ``P^``).
         """
-        h = self.hmatrix
-        sset = h.skeletons
         rec = self.config.recovery
         check = self.config.check_stability or rec.enabled
         g, m = len(leaves), leaves[0].size
-        A = h.leaf_blocks_stacked(leaves)
+        A = self.hmatrix.leaf_blocks_stacked(leaves)
         idx = np.arange(m)
         lam = self.lam + np.array(
             [self._lam_extra.get(leaf.id, 0.0) for leaf in leaves]
@@ -455,11 +461,9 @@ class HierarchicalFactorization:
             self._leaf_anorms[leaf.id] = float(anorms[i])
         phat = None
         if s >= 0:
-            # F-sliced right-hand sides let dgetrs solve in place.
-            P = np.empty((g, s, m)).transpose(0, 2, 1)
-            for i, leaf in enumerate(leaves):
-                P[i] = sset[leaf.id].proj.T
-            lu, piv, phat = lapack.lu_factor_solve_batched(A, P, overwrite_b=True)
+            lu, piv, phat = lapack.lu_factor_solve_batched(
+                A, self._projections(leaves, m, s), overwrite_b=True
+            )
             count_flops(g * 2 * m**2 * s, label="factor_leaf_phat")
         else:
             lu, piv = lapack.lu_factor_batched(A)
@@ -492,11 +496,15 @@ class HierarchicalFactorization:
         """Eq. (8)'s ``Z = I + V W`` and its LU, then eq. (10)'s ``P^``,
         for same-shaped internal nodes: one stacked GEMM / LU / solve per
         step.  ``nlog2n`` takes its ``P^`` from the recursive solve."""
+        h = self.hmatrix
         rec = self.config.recovery
         check = self.config.check_stability or rec.enabled
         _nl, _nr, s_l, s_r, s_a = key
         g, s = len(nodes), s_l + s_r
-        vl, vr, phat_l, phat_r = self._internal_operands(nodes)
+        lefts, rights = self._children(nodes)
+        vl = self._vblocks([h.sibling_block(left) for left in lefts])
+        vr = self._vblocks([h.sibling_block(right) for right in rights])
+        phat_l, phat_r = self._gather_phats(lefts), self._gather_phats(rights)
 
         # With stability checks off, F-sliced storage lets the LU factor
         # Z in place; the 1-norm estimate must read a C-ordered stack
@@ -512,10 +520,13 @@ class HierarchicalFactorization:
         anorms = levelbatch.one_norms_stacked(Z) if check else np.zeros(g)
         telescope = s_a >= 0 and self.config.method != "nlog2n"
         if telescope:
-            # the eq. (10) reduced solve fuses with the LU (one locked pass).
-            G_l, G_r, t = self._telescope_rhs(nodes, vl, vr, phat_l, phat_r)
+            # eq. (10)'s solve Z y = P_{[l~ r~] alpha~} fuses with the LU
+            # (one locked pass).
             z_lu, z_piv, y = lapack.lu_factor_solve_batched(
-                Z, t, overwrite_a=not check, overwrite_b=True
+                Z,
+                self._projections(nodes, s, s_a),
+                overwrite_a=not check,
+                overwrite_b=True,
             )
             count_flops(g * 2 * s**2 * s_a, label="factor_z_solve")
         else:
@@ -551,7 +562,7 @@ class HierarchicalFactorization:
             for node, factor in zip(nodes, factors):
                 factor.phat = self._phat_recursive(node)
             return
-        phat = _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y)
+        phat = _telescope(phat_l, phat_r, y)
         if self.config.storage == "low":
             # low-storage mode releases internal P^ blocks right after the
             # parent level; per-node copies keep that release effective
@@ -564,22 +575,10 @@ class HierarchicalFactorization:
             factor.phat = phat[i]
             self._phat_slots[node.id] = (phat, i, factor.phat)
 
-    def _internal_operands(self, nodes: list[Node]):
-        """``(V_l, V_r, P^_l, P^_r)`` of a same-shaped internal group.
-
-        ``V_l``/``V_r`` pair the children's sibling blocks ``K_{l~ r}`` /
-        ``K_{r~ l}`` with their stacked dense payloads (see
-        :func:`_v_products`); ``P^_l``/``P^_r`` are the children's
-        stacked ``P^`` blocks.
-        """
-        h = self.hmatrix
-        children = [h.tree.children(n) for n in nodes]
-        return (
-            self._vblocks([h.sibling_block(left) for left, _ in children]),
-            self._vblocks([h.sibling_block(right) for _, right in children]),
-            self._gather_phats([left for left, _ in children]),
-            self._gather_phats([right for _, right in children]),
-        )
+    def _children(self, nodes: list[Node]) -> tuple[list[Node], list[Node]]:
+        """The left and the right children of ``nodes``."""
+        children = [self.hmatrix.tree.children(n) for n in nodes]
+        return [left for left, _ in children], [right for _, right in children]
 
     def _vblocks(self, summs: list[KernelSummation]):
         """``(summs, K)`` for :func:`_v_products`: ``K`` stacks the
@@ -589,30 +588,18 @@ class HierarchicalFactorization:
             return summs, None
         return summs, _stack(blocks)
 
-    def _telescope_rhs(self, nodes, vl, vr, phat_l, phat_r):
-        """Eq. (10) up to its reduced solve, for a same-shaped group.
+    def _projections(self, nodes: list[Node], n: int, s: int) -> np.ndarray:
+        """The nodes' ``P^T`` (``(n, s)`` each) as one F-sliced stack.
 
-        Returns ``G_l = P^_l P_{l~ alpha~}``, ``G_r`` likewise, and the
-        F-sliced right-hand side ``t = [K_{l~ r} G_r; K_{r~ l} G_l]`` of
-        ``Z y = t`` (F-sliced so the solve runs in place).
+        A leaf's ``P_{alpha alpha~}`` or an internal node's
+        ``P_{[l~ r~] alpha~}``: the right-hand sides of the ``P^``
+        solves, F-sliced so that ``dgetrs`` solves them in place.
         """
         sset = self.hmatrix.skeletons
-        g, nl, s_l = phat_l.shape
-        nr, s_r = phat_r.shape[1:]
-        s_a = sset[nodes[0].id].rank
-        projT_l = np.empty((g, s_l, s_a))
-        projT_r = np.empty((g, s_r, s_a))
+        P = np.empty((len(nodes), s, n)).transpose(0, 2, 1)
         for i, node in enumerate(nodes):
-            proj = sset[node.id].proj  # (s_a, s_l + s_r)
-            projT_l[i] = proj[:, :s_l].T
-            projT_r[i] = proj[:, s_l:].T
-        G_l = np.matmul(phat_l, projT_l)  # (g, |l|, s_a)
-        G_r = np.matmul(phat_r, projT_r)  # (g, |r|, s_a)
-        count_flops(g * 2 * s_a * (nl * s_l + nr * s_r), label="factor_telescope")
-        t = np.empty((g, s_a, s_l + s_r)).transpose(0, 2, 1)
-        t[:, :s_l] = _v_products(vl, G_r)
-        t[:, s_l:] = _v_products(vr, G_l)
-        return G_l, G_r, t
+            P[i] = sset[node.id].proj.T
+        return P
 
     # ------------------------------------------------------------------
     # recovery ladder, rung 1: per-subtree lambda bump (docs/ROBUSTNESS.md)
@@ -799,7 +786,7 @@ class HierarchicalFactorization:
         per-slice layout (hence the GEMM bit patterns) unchanged.  The
         fallback copy preserves the blocks' own layout — leaf ``P^``
         blocks are F-ordered (LAPACK solve outputs), internal ones
-        C-ordered (concatenated telescopes) — because ``np.matmul``
+        C-ordered (:func:`_telescope`'s stacks) — because ``np.matmul``
         results follow operand strides, so a layout flip here would make
         a node's bits depend on how its level was grouped.  A group of
         one is a ``[None]`` view of its block, never a copy.
@@ -861,8 +848,8 @@ class HierarchicalFactorization:
         Runs the factorization's stacked eq. (10) code against the stored
         Z LUs (``dgetrs``, as the factorization's fused LU-and-solve
         does), so the restored blocks are bitwise the ones full storage
-        keeps.  Returns the restored factors so the caller can release
-        them again after the solve.
+        keeps; no ``V`` block is read.  Returns the restored factors so
+        the caller can release them again after the solve.
         """
         h = self.hmatrix
         by_level: dict[int, list[Node]] = {}
@@ -875,18 +862,18 @@ class HierarchicalFactorization:
         for level in sorted(by_level, reverse=True):
             for key, nodes in self._internal_groups(by_level[level], policy):
                 _nl, _nr, s_l, s_r, s_a = key
+                s = s_l + s_r
                 factors = [self.node_factors[n.id] for n in nodes]
-                vl, vr, phat_l, phat_r = self._internal_operands(nodes)
-                G_l, G_r, t = self._telescope_rhs(nodes, vl, vr, phat_l, phat_r)
                 y = lapack.lu_solve_batched(
                     ([f.z_lu[0] for f in factors], [f.z_lu[1] for f in factors]),
-                    t,
+                    self._projections(nodes, s, s_a),
                     overwrite_b=True,
                 )
-                count_flops(
-                    len(nodes) * 2 * (s_l + s_r) ** 2 * s_a, label="factor_z_solve"
+                count_flops(len(nodes) * 2 * s**2 * s_a, label="factor_z_solve")
+                lefts, rights = self._children(nodes)
+                phat = _telescope(
+                    self._gather_phats(lefts), self._gather_phats(rights), y
                 )
-                phat = _telescope_update(s_l, phat_l, phat_r, G_l, G_r, y)
                 for i, factor in enumerate(factors):
                     factor.phat = phat[i]
                 restored.extend(factors)

@@ -168,10 +168,16 @@ def lu_factor_solve_batched(
     return lu, piv, x
 
 
-def qr(A: np.ndarray, *, pivoting: bool = True):
-    """Locked economy QR (``dgeqp3`` when pivoting)."""
+def qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Locked column-pivoted QR (``dgeqp3``) without forming ``Q``.
+
+    Returns ``(R, piv)``: the economy ``R`` (``min(m, n)`` rows) and the
+    column permutation, bitwise those of ``scipy.linalg.qr(A,
+    mode="economic", pivoting=True)``, which also runs ``dorgqr``.
+    """
     with _LOCK:
-        return scipy.linalg.qr(A, mode="economic", pivoting=pivoting)
+        R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+    return R[: min(A.shape)], piv
 
 
 def solve_triangular(R: np.ndarray, B: np.ndarray, *, lower: bool = False):

@@ -71,7 +71,7 @@ class TestCommunicationCosts:
             results[p] = dist.factor_stats.bytes / 8  # words
         for p, words in results.items():
             logp = np.log2(p)
-            bound = 40.0 * smax * smax * logp * logp + 1000
+            bound = 5.0 * smax * smax * logp * logp + 1000
             assert words < bound, (p, words, bound)
 
     def test_solve_traffic_much_smaller_than_factor(self, problem):

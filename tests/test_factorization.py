@@ -139,6 +139,75 @@ class TestMethodEquivalence:
         assert fc2.flops > fc1.flops
 
 
+class TestTelescopeWork:
+    """Eq. (10) in push-through form: ``P^_alpha = blkdiag(P^_l, P^_r) y``
+    with ``Z_alpha y = P_{[l~ r~] alpha~}``.
+
+    Beyond its ``Z`` solve, a telescoped node costs one GEMM per child,
+    ``2 s_alpha (|l| s_l + |r| s_r)`` flops, and the ``V`` blocks enter
+    only ``Z``'s products ``K_{l~ r} P^_r`` and ``K_{r~ l} P^_l``.
+    """
+
+    @pytest.fixture(scope="class")
+    def hmatrix(self, gaussian_kernel):
+        X = np.random.default_rng(28).standard_normal((1500, 4))
+        return build_hmatrix(
+            X,
+            gaussian_kernel,
+            tree_config=TreeConfig(leaf_size=40, seed=3),
+            skeleton_config=SkeletonConfig(
+                tau=1e-7, max_rank=48, num_samples=160, num_neighbors=8, seed=5
+            ),
+        )
+
+    @staticmethod
+    def _internal_nodes(h):
+        tree = h.tree
+        for level in range(tree.depth):
+            for node in tree.level_nodes(level):
+                if not tree.is_leaf(node):
+                    yield node, *tree.children(node)
+
+    @staticmethod
+    def _gemm_flops(h, node, left, right):
+        sset = h.skeletons
+        s_l, s_r = sset[left.id].rank, sset[right.id].rank
+        return 2 * sset[node.id].rank * (left.size * s_l + right.size * s_r)
+
+    @pytest.mark.parametrize("storage", ["full", "low"])
+    def test_factorize_charges_one_gemm_per_child(self, hmatrix, storage):
+        h = hmatrix
+        sset = h.skeletons
+        # the frontier is the root's children: the coalesced system is
+        # the root's Z.
+        assert [f.id for f in h.frontier] == [2, 3]
+        telescope = gemv = 0
+        for node, left, right in self._internal_nodes(h):
+            s_l, s_r = sset[left.id].rank, sset[right.id].rank
+            gemv += 2 * (s_l * right.size * s_r + s_r * left.size * s_l)
+            if sset.is_skeletonized(node.id):
+                telescope += self._gemm_flops(h, node, left, right)
+        assert telescope > 0
+        with FlopCounter() as fc:
+            factorize(h, 0.5, SolverConfig(method="nlogn", storage=storage))
+        assert fc.by_label["factor_telescope"] == telescope
+        assert fc.by_label["summation_gemv"] == gemv
+
+    def test_low_storage_solve_retelescopes_with_one_gemm_per_child(self, hmatrix):
+        h = hmatrix
+        frontier = {f.id for f in h.frontier}
+        dropped = sum(
+            self._gemm_flops(h, node, left, right)
+            for node, left, right in self._internal_nodes(h)
+            if node.id not in frontier and h.skeletons.is_skeletonized(node.id)
+        )
+        assert dropped > 0
+        fact = factorize(h, 0.5, SolverConfig(method="nlogn", storage="low"))
+        with FlopCounter() as fc:
+            fact.solve(np.random.default_rng(29).standard_normal(h.n_points))
+        assert fc.by_label["factor_telescope"] == dropped
+
+
 class TestSingleLeaf:
     def test_dense_fallback(self, gaussian_kernel):
         X = RNG.standard_normal((30, 3))
